@@ -27,6 +27,9 @@ layers share.  The factories keep working but emit a
 from __future__ import annotations
 
 import warnings
+from itertools import compress, repeat
+
+import numpy as np
 
 from repro.core.config import AdaptationGoal, DikeConfig
 from repro.core.decider import Decider
@@ -56,6 +59,15 @@ __all__ = [
     "dike_af",
     "dike_ap",
 ]
+
+
+#: Empty prediction books (see ``DikeScheduler._pending``).
+_NO_PENDING = (
+    np.zeros(0, dtype=np.int64),
+    np.zeros(0, dtype=object),
+    np.zeros(0, dtype=object),
+    np.zeros(0, dtype=object),
+)
 
 
 # --------------------------------------------------------------- stages
@@ -248,8 +260,15 @@ class DikeScheduler(StagePipeline):
             self.decider, self.migrator, self.optimizer,
         ):
             component.bus = context.bus
-        #: tid -> (quantum_index_of_prediction, time_s, predicted_rate)
-        self._pending: dict[int, tuple[int, float, float]] = {}
+        #: registered next-quantum predictions as columns (tid,
+        #: quantum_index_of_prediction, time_s, predicted_rate), one entry
+        #: per tid in registration order.  All but the tid column hold
+        #: Python objects: the registering quantum's own index and time,
+        #: and the rates straight from the Observer's report, which is
+        #: also where the next quantum's actual rates come from.  Records
+        #: thus share these objects instead of each carrying copies (a
+        #: large run keeps tens of thousands of records).
+        self._pending = _NO_PENDING
         self._records: list[PredictionRecord] = []
         #: (quantum_index, swap_size, quanta_length_s) adaptation trajectory
         self._config_history: list[tuple[int, int, float]] = [
@@ -279,14 +298,10 @@ class DikeScheduler(StagePipeline):
         # core's entire memory bandwidth no matter where it lands).
         counters, report, placement = state.counters, state.report, state.placement
         demand = report.demand_estimate or {}
-        for tid in placement:
-            rate = report.access_rate.get(tid)
-            if rate is not None and rate > 0.0:
-                self._pending[tid] = (
-                    counters.quantum_index,
-                    counters.time_s,
-                    rate,
-                )
+        rates = report.access_rate
+        # A dict first: a swapped thread keeps its place and takes the
+        # moved-case registration.
+        fresh = {t: r for t in placement if (r := rates.get(t, 0.0)) > 0.0}
         for pred in state.accepted:
             for tid, dest_bw in (
                 (pred.pair.t_l, report.core_bw.get(placement[pred.pair.t_h])),
@@ -296,11 +311,28 @@ class DikeScheduler(StagePipeline):
                 bound = demand.get(tid, float("inf"))
                 predicted = min(moved_case, bound)
                 if predicted == predicted:  # not NaN
-                    self._pending[tid] = (
-                        counters.quantum_index,
-                        counters.time_s,
-                        max(predicted - self.predictor.overhead(predicted), 0.0),
+                    fresh[tid] = max(
+                        predicted - self.predictor.overhead(predicted), 0.0
                     )
+        if not fresh:
+            return
+        n = len(fresh)
+        tids = np.fromiter(fresh, np.int64, n)
+        quantum = np.full(n, counters.quantum_index, dtype=object)
+        time_s = np.full(n, counters.time_s, dtype=object)
+        predicted = np.array(list(fresh.values()), dtype=object)
+        old_tid, old_q, old_t, old_rate = self._pending
+        if old_tid.size:
+            # Dict semantics: a tid still pending keeps its place and takes
+            # the new registration.
+            all_tids = old_tid.tolist() + tids.tolist()
+            latest = dict(zip(all_tids, range(len(all_tids))))
+            rows = np.fromiter(latest.values(), np.int64, len(latest))
+            tids = np.fromiter(latest, np.int64, len(latest))
+            quantum = np.concatenate((old_q, quantum))[rows]
+            time_s = np.concatenate((old_t, time_s))[rows]
+            predicted = np.concatenate((old_rate, predicted))[rows]
+        self._pending = (tids, quantum, time_s, predicted)
 
     # ------------------------------------------------------------ internals
 
@@ -315,29 +347,34 @@ class DikeScheduler(StagePipeline):
         )
 
     def _backfill_predictions(self, counters, report) -> None:
-        """Match predictions from the previous quantum with measurements."""
-        done: list[int] = []
-        for tid, (q, t, predicted) in self._pending.items():
-            if counters.quantum_index <= q:
-                continue
-            actual = report.access_rate.get(tid)
-            if actual is not None and actual > 0.0:
-                self._records.append(
-                    PredictionRecord(
-                        time_s=t,
-                        quantum_index=q,
-                        tid=tid,
-                        predicted_rate=predicted,
-                        actual_rate=actual,
-                    )
-                )
-                if self.metrics is not None:
-                    self.metrics.histogram("dike.prediction_abs_rel_error").observe(
-                        abs(predicted - actual) / actual
-                    )
-            done.append(tid)
-        for tid in done:
-            self._pending.pop(tid, None)
+        """Match predictions from the previous quantum with measurements.
+
+        Every pending prediction registered before this quantum is
+        retired; each whose thread reports a positive rate becomes a
+        :class:`PredictionRecord`, in registration order.
+        """
+        tid, q, t, predicted = self._pending
+        if not tid.size:
+            return
+        due = q < counters.quantum_index
+        actual = list(map(report.access_rate.get, tid.tolist(), repeat(0.0)))
+        hit = due & (np.array(actual) > 0.0)
+        columns = (
+            t[hit].tolist(),
+            q[hit].tolist(),
+            tid[hit].tolist(),
+            predicted[hit].tolist(),
+            list(compress(actual, hit.tolist())),
+        )
+        self._records.extend(map(PredictionRecord, *columns))
+        if self.metrics is not None:
+            errors = self.metrics.histogram("dike.prediction_abs_rel_error")
+            for p, a in zip(columns[3], columns[4]):
+                errors.observe(abs(p - a) / a)
+        if due.all():
+            self._pending = _NO_PENDING
+        else:
+            self._pending = tuple(column[~due] for column in self._pending)
 
     def drain_prediction_records(self) -> tuple[PredictionRecord, ...]:
         records = tuple(self._records)

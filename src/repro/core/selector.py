@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from repro.core.config import DikeConfig
 from repro.core.observer import ObserverReport
 from repro.obs.events import NULL_BUS, PairProposed
-from repro.util.stats import coefficient_of_variation
+from repro.util.stats import grouped_coefficient_of_variation
 
 __all__ = ["ThreadPair", "Selector"]
 
@@ -176,14 +176,20 @@ class Selector:
             if g is not None:
                 by_group.setdefault(g, []).append(t)
         total = sum(rates[t] for t in sorted_tids) or 1.0
+        candidates = [
+            (tids, [rates[t] for t in tids])
+            for tids in by_group.values()
+            if len(tids) >= 2
+        ]
+        cvs = grouped_coefficient_of_variation(
+            [r for _, group_rates in candidates for r in group_rates],
+            [len(tids) for tids, _ in candidates],
+        )
         scored: list[tuple[float, list[int]]] = []
-        for g, tids in by_group.items():
-            if len(tids) < 2:
-                continue
-            weight = sum(rates[t] for t in tids) / total
+        for (tids, group_rates), cv in zip(candidates, cvs.tolist()):
+            weight = sum(group_rates) / total
             if weight < 0.05:
                 continue
-            cv = coefficient_of_variation([rates[t] for t in tids])
             if cv > self.config.fairness_threshold:
                 scored.append((weight * cv, tids))
         scored.sort(key=lambda x: -x[0])

@@ -39,10 +39,12 @@ Design
 * **Scheduler tiers.**  ``static`` never migrates and ``cfs`` only acts
   when some physical core idles while another is SMT-crowded, so for
   non-observed lanes under those policies the batch skips building
-  counter samples entirely and evaluates a vectorised gate instead (the
-  dominant win: sample construction is most of the scalar profile).
-  Every other policy gets exact per-lane counters and a real
-  ``decide``/``apply`` call — scalar-identical by construction.
+  counter samples and the ``decide`` call entirely and evaluates a
+  vectorised gate instead.  Every other policy gets exact per-lane
+  counters — built by the scalar engine's own
+  ``SimulationEngine._sample_counters`` from the lane's slices of the
+  flat arrays — and a real ``decide``/``apply`` call, scalar-identical
+  by construction.
 
 Lanes must share the machine model (topology, memory constants, SMT
 efficiency, warm-up miss scale) and must not use an LLC model; see
@@ -61,7 +63,7 @@ import numpy as np
 from repro.obs.events import QuantumEnd, QuantumStart
 from repro.schedulers.cfs import CFSScheduler
 from repro.schedulers.static import StaticScheduler
-from repro.sim.counters import QuantumCounters, ThreadSample
+from repro.sim.counters import QuantumCounters
 from repro.sim.engine import SimulationEngine
 from repro.sim.memory import allocate_bandwidth, waterfill
 from repro.sim.results import RunResult
@@ -511,67 +513,20 @@ class BatchEngine:
                 eng = lanes[r]
                 q = qlen_lane[r]
                 l, h = int(bounds[r]), int(bounds[r + 1])
-                cnt = h - l
                 if needs_counters[r]:
-                    samples: list[ThreadSample] = []
-                    core_bw = np.zeros(n_vcores, dtype=np.float64)
-                    if cnt:
-                        vco = vcore_of[l:h]
-                        core_bw = np.bincount(
-                            vco,
-                            weights=access_rate[l:h],
-                            minlength=n_vcores,
-                        )
-                        if eng.counter_noise > 0.0:
-                            noise = np.clip(
-                                eng._noise_rng.normal(
-                                    1.0, eng.counter_noise, size=cnt
-                                ),
-                                0.5,
-                                1.5,
-                            )
-                        else:
-                            noise = np.ones(cnt)
-                        wk = work[l:h]
-                        eff = eff_time[l:h]
-                        llc_accesses = api[l:h] * wk
-                        llc_misses = access_rate[l:h] * eff * noise
-                        lidx = fl[l:h] - int(offs[r])
-                        cache_mb = eng.state.cache_share[lidx]
-                        for i, tid in enumerate(lidx.tolist()):
-                            samples.append(
-                                ThreadSample(
-                                    tid=tid,
-                                    vcore=int(vco[i]),
-                                    instructions=float(wk[i]),
-                                    llc_accesses=float(llc_accesses[i]),
-                                    llc_misses=float(llc_misses[i]),
-                                    runtime_s=float(eff[i]) if eff[i] > 0 else q,
-                                    cache_mb=float(cache_mb[i]),
-                                )
-                            )
-                    for tid in eng.state.idle_indices().tolist():
-                        samples.append(
-                            ThreadSample(
-                                tid=tid,
-                                vcore=int(eng.state.vcore[tid]),
-                                instructions=0.0,
-                                llc_accesses=0.0,
-                                llc_misses=0.0,
-                                runtime_s=q,
-                            )
-                        )
+                    # The lane's slices of the flat arrays (None when no
+                    # lane ran anything this step).
+                    counters_by_lane[r] = eng._sample_counters(
+                        q,
+                        fl[l:h] - int(offs[r]),
+                        *(
+                            a[l:h] if nfl else None
+                            for a in (vcore_of, work, api, access_rate, eff_time)
+                        ),
+                    )
                 eng.state.tick_suspensions()
                 eng.time_s += q
                 eng._drain_completed()
-                if needs_counters[r]:
-                    counters_by_lane[r] = QuantumCounters(
-                        quantum_index=eng.quantum_index,
-                        time_s=eng.time_s,
-                        quantum_length_s=q,
-                        samples=tuple(samples),
-                        core_bandwidth=core_bw,
-                    )
                 if observing[r]:
                     counters = counters_by_lane[r]
                     live_idx = live_snapshots[r]

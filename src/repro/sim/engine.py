@@ -53,7 +53,7 @@ from repro.schedulers.base import (
     Swap,
     ThreadInfo,
 )
-from repro.sim.counters import QuantumCounters, ThreadSample
+from repro.sim.counters import QuantumCounters, SampleColumns
 from repro.sim.llc import LLCModel, make_llc
 from repro.sim.memory import MemoryModelConfig, MemorySystem
 from repro.sim.migration import MigrationModel
@@ -383,9 +383,7 @@ class SimulationEngine:
         observing = self.trace.record_timeseries or self.bus.enabled
         live_idx = st.live_indices() if observing else None
 
-        samples: list[ThreadSample] = []
-        core_bw = np.zeros(self.topology.n_vcores, dtype=np.float64)
-
+        vcore_of = work = api = access_rate = eff_time = None
         if idx.size:
             vcore_of = st.vcore[idx]
             cpi = st.cpi[idx]
@@ -470,63 +468,14 @@ class SimulationEngine:
             st.consume_quantum(idx, work)
             st.refresh_segments(idx)
 
-            core_bw = np.bincount(
-                vcore_of, weights=access_rate, minlength=self.topology.n_vcores
-            )
-            if self.counter_noise > 0.0:
-                noise = np.clip(
-                    self._noise_rng.normal(
-                        1.0, self.counter_noise, size=idx.size
-                    ),
-                    0.5,
-                    1.5,
-                )
-            else:
-                noise = np.ones(idx.size)
-            llc_accesses = api * work
-            llc_misses = access_rate * eff_time * noise
-            cache_mb = st.cache_share[idx]
-            for i, tid in enumerate(idx.tolist()):
-                samples.append(
-                    ThreadSample(
-                        tid=tid,
-                        vcore=int(vcore_of[i]),
-                        instructions=float(work[i]),
-                        llc_accesses=float(llc_accesses[i]),
-                        llc_misses=float(llc_misses[i]),
-                        runtime_s=float(eff_time[i]) if eff_time[i] > 0 else qlen,
-                        cache_mb=float(cache_mb[i]),
-                    )
-                )
-
-        # Barrier-waiting and suspended threads appear in the sample with
-        # zero activity — a real perf window would show them idle, and
-        # schedulers must cope.
-        idle = st.idle_indices()
-        for tid in idle.tolist():
-            samples.append(
-                ThreadSample(
-                    tid=tid,
-                    vcore=int(st.vcore[tid]),
-                    instructions=0.0,
-                    llc_accesses=0.0,
-                    llc_misses=0.0,
-                    runtime_s=qlen,
-                )
-            )
-
+        counters = self._sample_counters(
+            qlen, idx, vcore_of, work, api, access_rate, eff_time
+        )
         # Tick down suspensions at the quantum boundary.
         st.tick_suspensions()
 
         self.time_s += qlen
         self._drain_completed()
-        counters = QuantumCounters(
-            quantum_index=self.quantum_index,
-            time_s=self.time_s,
-            quantum_length_s=qlen,
-            samples=tuple(samples),
-            core_bandwidth=core_bw,
-        )
         # Zero-observer fast path: with no trace recording and no event
         # sinks, skip materialising the per-quantum dictionaries entirely.
         if observing:
@@ -553,6 +502,62 @@ class SimulationEngine:
                 )
         self.quantum_index += 1
         return counters
+
+    def _sample_counters(
+        self,
+        qlen: float,
+        idx: np.ndarray,
+        vcore_of: np.ndarray | None,
+        work: np.ndarray | None,
+        api: np.ndarray | None,
+        access_rate: np.ndarray | None,
+        eff_time: np.ndarray | None,
+    ) -> QuantumCounters:
+        """The quantum's counter sample, as columns of the physics arrays.
+
+        ``idx`` are the threads that ran (the other arrays are aligned
+        with it and may be ``None`` when it is empty).  Called after
+        progress is applied and before suspensions tick down; the batch
+        engine calls it per lane with the lane's slices of its flat
+        arrays.  Measurement noise multiplies the reported misses only.
+        """
+        st = self.state
+        if not idx.size:
+            empty = np.zeros(0)
+            vcore_of, work, api, access_rate, eff_time = idx, empty, empty, empty, empty
+        llc_misses = access_rate * eff_time
+        if self.counter_noise > 0.0 and idx.size:
+            llc_misses *= np.clip(
+                self._noise_rng.normal(1.0, self.counter_noise, size=idx.size),
+                0.5,
+                1.5,
+            )
+        # Barrier-waiting and suspended threads appear in the sample with
+        # zero activity — a real perf window would show them idle, and
+        # schedulers must cope.  A thread that hit its barrier this
+        # quantum is in both sets (see QuantumCounters).
+        idle = st.idle_indices()
+        zeros = np.zeros(idle.size)
+        samples = SampleColumns(
+            tid=np.concatenate((idx, idle)),
+            vcore=np.concatenate((vcore_of, st.vcore[idle])),
+            instructions=np.concatenate((work, zeros)),
+            llc_accesses=np.concatenate((api * work, zeros)),
+            llc_misses=np.concatenate((llc_misses, zeros)),
+            runtime_s=np.concatenate(
+                (np.where(eff_time > 0, eff_time, qlen), np.full(idle.size, qlen))
+            ),
+            cache_mb=np.concatenate((st.cache_share[idx], zeros)),
+        )
+        return QuantumCounters(
+            quantum_index=self.quantum_index,
+            time_s=self.time_s + qlen,
+            quantum_length_s=qlen,
+            samples=samples,
+            core_bandwidth=np.bincount(
+                vcore_of, weights=access_rate, minlength=self.topology.n_vcores
+            ),
+        )
 
     # --------------------------------------------------------------- actions
 

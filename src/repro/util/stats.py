@@ -17,12 +17,14 @@ boundaries.
 from __future__ import annotations
 
 from collections import deque
+from itertools import groupby
 from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "coefficient_of_variation",
+    "grouped_coefficient_of_variation",
     "geometric_mean",
     "MovingMean",
     "ExponentialMean",
@@ -53,6 +55,47 @@ def coefficient_of_variation(values: Iterable[float]) -> float:
     if mean == 0.0:
         return float("nan")
     return float(arr.std() / abs(mean))
+
+
+def grouped_coefficient_of_variation(
+    values: Iterable[float], sizes: Iterable[int]
+) -> np.ndarray:
+    """:func:`coefficient_of_variation` of each consecutive group of values.
+
+    Group ``i`` is the next ``sizes[i]`` entries of ``values``.  Groups of
+    equal size are stacked into one C-contiguous 2-D array and reduced
+    row-wise.  NumPy reduces each row exactly as it reduces the same values
+    as a 1-D array (same pairwise order), and the mean/std steps below are
+    the ones ``ndarray.mean``/``ndarray.std`` take, so every entry is
+    bit-equal to the per-group call: empty groups read ``nan``, single
+    members ``0.0`` and zero-mean groups ``nan``.
+    """
+    values = _as_array(values)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    out = np.empty(sizes.size)
+    # Reorder whole groups by size (stably), so each size class is one
+    # contiguous run: n groups of size k read as an (n, k) view.
+    by_size = np.argsort(sizes, kind="stable")
+    ranked = sizes[by_size]
+    shift = (np.cumsum(sizes) - sizes)[by_size] - (np.cumsum(ranked) - ranked)
+    stacked = values[np.repeat(shift, ranked) + np.arange(values.size)]
+    lo = pos = 0
+    for k, run in groupby(ranked.tolist()):
+        n = len(list(run))
+        sel = by_size[lo : lo + n]
+        block = stacked[pos : pos + n * k].reshape(n, k)
+        lo += n
+        pos += n * k
+        if k < 2:
+            out[sel] = 0.0 if k == 1 else float("nan")
+            continue
+        mean = np.add.reduce(block, axis=1) / k
+        dev = block - mean[:, None]
+        std = np.sqrt(np.add.reduce(dev * dev, axis=1) / k)
+        cv = np.full(n, np.nan)
+        np.divide(std, np.abs(mean), out=cv, where=mean != 0.0)
+        out[sel] = cv
+    return out
 
 
 def geometric_mean(values: Iterable[float]) -> float:

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import AdaptationGoal, DikeConfig
 from repro.core.dike import DikeScheduler, dike, dike_af, dike_ap
+from repro.core.selector import ThreadPair
+from repro.schedulers.base import SchedulingContext, ThreadInfo
+from repro.sim.results import PredictionRecord
 from repro.policies import REGISTRY
 from repro.metrics.fairness import fairness
 from repro.schedulers.cfs import CFSScheduler
@@ -143,3 +149,91 @@ class TestHighFairnessThresholdDisablesScheduling:
         sched = DikeScheduler(DikeConfig(fairness_threshold=9.9))
         result = quick_run(small_workload, sched, paper_topology, work_scale=0.01)
         assert result.swap_count == 0
+
+
+class TestPredictionBooks:
+    """The array prediction books replay the dict books they replaced:
+    same records, same order, including re-registration while pending."""
+
+    class _DictBooks:
+        def __init__(self, predictor):
+            self.predictor = predictor
+            self.pending = {}
+            self.records = []
+
+        def backfill(self, counters, report):
+            done = []
+            for tid, (q, t, predicted) in self.pending.items():
+                if counters.quantum_index <= q:
+                    continue
+                actual = report.access_rate.get(tid)
+                if actual is not None and actual > 0.0:
+                    self.records.append(
+                        PredictionRecord(t, q, tid, predicted, actual)
+                    )
+                done.append(tid)
+            for tid in done:
+                self.pending.pop(tid, None)
+
+        def end_quantum(self, state):
+            counters, report, placement = state.counters, state.report, state.placement
+            demand = report.demand_estimate or {}
+            for tid in placement:
+                rate = report.access_rate.get(tid)
+                if rate is not None and rate > 0.0:
+                    self.pending[tid] = (counters.quantum_index, counters.time_s, rate)
+            for pred in state.accepted:
+                for tid, dest_bw in (
+                    (pred.pair.t_l, report.core_bw.get(placement[pred.pair.t_h])),
+                    (pred.pair.t_h, report.core_bw.get(placement[pred.pair.t_l])),
+                ):
+                    moved = dest_bw if dest_bw is not None else float("nan")
+                    predicted = min(moved, demand.get(tid, float("inf")))
+                    if predicted == predicted:
+                        self.pending[tid] = (
+                            counters.quantum_index,
+                            counters.time_s,
+                            max(predicted - self.predictor.overhead(predicted), 0.0),
+                        )
+
+    _rate = st.sampled_from([0.0, -1.0, float("nan")]) | st.floats(1e-3, 1e9)
+    _step = st.tuples(
+        st.integers(0, 6),  # quantum index: repeats and steps back too
+        st.dictionaries(st.integers(0, 7), st.integers(0, 3), max_size=8),
+        st.dictionaries(st.integers(0, 9), _rate, max_size=10),
+        st.dictionaries(st.integers(0, 3), st.floats(0.0, 1e9), max_size=4),
+        st.dictionaries(st.integers(0, 7), st.floats(0.0, 1e9), max_size=8),
+        st.lists(st.integers(0, 7), max_size=6, unique=True),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(_step, max_size=8))
+    def test_matches_dict_books(self, steps, small_topology):
+        sched = REGISTRY.build("dike")
+        sched.prepare(
+            SchedulingContext(
+                topology=small_topology,
+                threads=tuple(ThreadInfo(t, "b", 0, t) for t in range(8)),
+            )
+        )
+        oracle = self._DictBooks(sched.predictor)
+        for q, placement, rates, core_bw, demand, swapped in steps:
+            counters = SimpleNamespace(quantum_index=q, time_s=0.5 * q + 0.25)
+            report = SimpleNamespace(
+                access_rate=rates, core_bw=core_bw, demand_estimate=demand
+            )
+            movers = [t for t in swapped if t in placement]
+            accepted = [
+                SimpleNamespace(pair=ThreadPair(t_l=a, t_h=b))
+                for a, b in zip(movers[::2], movers[1::2])
+            ]
+            state = SimpleNamespace(
+                counters=counters, report=report, placement=placement,
+                accepted=accepted,
+            )
+            sched._backfill_predictions(counters, report)
+            oracle.backfill(counters, report)
+            sched.end_quantum(state)
+            oracle.end_quantum(state)
+        got = sched.drain_prediction_records()
+        assert [repr(r) for r in got] == [repr(r) for r in oracle.records]

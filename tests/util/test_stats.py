@@ -14,6 +14,7 @@ from repro.util.stats import (
     MovingMean,
     coefficient_of_variation,
     geometric_mean,
+    grouped_coefficient_of_variation,
     summarize,
 )
 
@@ -163,3 +164,38 @@ class TestSummarize:
         s = summarize([])
         assert s["n"] == 0
         assert math.isnan(s["mean"])
+
+
+class TestGroupedCoefficientOfVariation:
+    @given(
+        st.lists(
+            st.one_of(
+                st.lists(finite_positive, max_size=20),  # ragged, incl. empty
+                st.lists(finite_positive, min_size=1, max_size=1),  # single
+                st.lists(st.just(0.0), min_size=1, max_size=10),  # all idle
+                st.lists(  # zero mean
+                    st.floats(min_value=1.0, max_value=1e6), min_size=1, max_size=5
+                ).map(lambda xs: xs + [-x for x in xs]),
+                st.lists(finite_positive, min_size=120, max_size=150),  # > 128
+            ),
+            max_size=12,
+        )
+    )
+    def test_bit_equal_to_per_group_calls(self, groups):
+        flat = [v for g in groups for v in g]
+        got = grouped_coefficient_of_variation(flat, [len(g) for g in groups])
+        want = [coefficient_of_variation(g) for g in groups]
+        assert [repr(x) for x in got.tolist()] == [repr(x) for x in want]
+
+    def test_edge_values(self):
+        got = grouped_coefficient_of_variation(
+            [1.0, 3.0, 5.0, 0.0, 0.0, -2.0, 2.0], [2, 0, 1, 2, 2]
+        )
+        assert got[0] == pytest.approx(0.5)
+        assert math.isnan(got[1])  # empty
+        assert got[2] == 0.0  # single member
+        assert math.isnan(got[3])  # all idle: zero mean
+        assert math.isnan(got[4])  # zero mean
+
+    def test_no_groups(self):
+        assert grouped_coefficient_of_variation([], []).size == 0
