@@ -5,7 +5,8 @@ must produce bit-identical results and an identical event trace, run to
 run and commit to commit.  This module pins that down against *checked-in*
 goldens (``tests/golden/``): a canonical fingerprint of each policy's
 ``RunResult`` plus the full JSONL event trace, for CFS, DIO and Dike on a
-tiny two-app workload.
+tiny two-app workload, and for Dike under the occupancy LLC model (the
+only case that pins the LLC path of the physics byte for byte).
 
 If a PR intentionally changes simulation behaviour (new model, different
 float-op ordering), regenerate the goldens and review the diff:
@@ -37,6 +38,9 @@ from repro.workloads.suite import WorkloadSpec
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 POLICIES = ("cfs", "dio", "dike", "dike-af", "dike-ap")
+#: golden case id -> (policy, LLC backend); the id names the golden files
+CASES = {policy: (policy, None) for policy in POLICIES}
+CASES["dike-llc"] = ("dike", "occupancy")
 SEED = 7
 WORK_SCALE = 0.02
 
@@ -60,8 +64,9 @@ def _workload() -> WorkloadSpec:
     )
 
 
-def golden_run(policy: str, trace_path: Path | None = None) -> RunResult:
-    """One deterministic run of the golden scenario under ``policy``."""
+def golden_run(case: str, trace_path: Path | None = None) -> RunResult:
+    """One deterministic run of the golden scenario for ``case``."""
+    policy, llc = CASES[case]
     bus = EventBus()
     if trace_path is not None:
         bus.attach(JsonlSink(trace_path))
@@ -72,6 +77,7 @@ def golden_run(policy: str, trace_path: Path | None = None) -> RunResult:
         scheduler=REGISTRY.build(policy),
         seed=SEED,
         workload_name="golden-tiny",
+        llc=llc,
         bus=bus,
     )
     result = engine.run()
@@ -107,9 +113,9 @@ def fingerprint(result: RunResult) -> dict:
 def _regen() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     fingerprints = {}
-    for policy in POLICIES:
-        result = golden_run(policy, GOLDEN_DIR / f"tiny_{policy}.jsonl")
-        fingerprints[policy] = fingerprint(result)
+    for case in CASES:
+        result = golden_run(case, GOLDEN_DIR / f"tiny_{case}.jsonl")
+        fingerprints[case] = fingerprint(result)
     (GOLDEN_DIR / "results.json").write_text(
         json.dumps(fingerprints, indent=1, sort_keys=True) + "\n"
     )
@@ -123,22 +129,22 @@ if os.environ.get("REPRO_REGEN_GOLDEN"):
 
 else:
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_same_seed_run_is_bit_identical(policy):
-        a = fingerprint(golden_run(policy))
-        b = fingerprint(golden_run(policy))
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_seed_run_is_bit_identical(case):
+        a = fingerprint(golden_run(case))
+        b = fingerprint(golden_run(case))
         assert a == b
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_result_matches_checked_in_golden(policy):
+    @pytest.mark.parametrize("case", CASES)
+    def test_result_matches_checked_in_golden(case):
         golden = json.loads((GOLDEN_DIR / "results.json").read_text())
-        assert fingerprint(golden_run(policy)) == golden[policy]
+        assert fingerprint(golden_run(case)) == golden[case]
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_trace_diff_against_golden_is_clean(policy, tmp_path, capsys):
-        trace = tmp_path / f"{policy}.jsonl"
-        golden_run(policy, trace)
-        golden = GOLDEN_DIR / f"tiny_{policy}.jsonl"
+    @pytest.mark.parametrize("case", CASES)
+    def test_trace_diff_against_golden_is_clean(case, tmp_path, capsys):
+        trace = tmp_path / f"{case}.jsonl"
+        golden_run(case, trace)
+        golden = GOLDEN_DIR / f"tiny_{case}.jsonl"
         diff = diff_traces(load_events(golden), load_events(trace))
         assert diff.identical, f"trace diverged from golden: {diff}"
         # The user-facing gate: ``repro trace-diff`` exits 0.
