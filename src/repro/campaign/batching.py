@@ -5,10 +5,11 @@ overhead across independent runs, but it only pays off when the campaign
 layer feeds it *groups* of compatible tasks.  This module is that glue:
 
 * :func:`batchable` — the eligibility rule.  A task can join a batch when
-  nothing about it needs the scalar per-run loop: no LLC model (the flat
-  kernels do not model the cache hierarchy), no invariant contract and no
-  per-task trace sink (both attach per-run observers whose per-quantum
-  cost would defeat the batching anyway), no per-quantum timeseries.
+  nothing about it needs the scalar per-run loop: no invariant contract
+  and no per-task trace sink (both attach per-run observers whose
+  per-quantum cost would defeat the batching anyway), no per-quantum
+  timeseries.  Any LLC model batches: the physics kernel the batch
+  shares with the scalar engine resolves each lane's LLC.
 * :func:`plan_batches` — groups eligible ``(key, task)`` pairs by batch
   signature (policy + parameters, topology, migration model, scenario
   shape) and chunks each group into :class:`BatchTask` units of at most
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 #: Largest number of runs stepped by one worker's BatchEngine.  Past this
-#: size the flat kernels stop gaining (memory traffic dominates) while
+#: size the shared kernel stops gaining (memory traffic dominates) while
 #: scheduling granularity and retry blast radius get worse.
 DEFAULT_BATCH_SIZE = 32
 
@@ -102,18 +103,14 @@ def batchable(task: TaskSpec) -> bool:
     """Whether ``task`` may run inside a batch (see module docstring)."""
     if not isinstance(task, TaskSpec) and hasattr(task, "to_task"):
         task = task.to_task()
-    return (
-        task.sim.llc is None
-        and not task.invariants
-        and not task.sim.record_timeseries
-    )
+    return not task.invariants and not task.sim.record_timeseries
 
 
 def batch_signature(task: TaskSpec) -> tuple:
     """Group key: tasks sharing it can run in one ``BatchEngine``.
 
     Policy family (name + parameters), machine model (topology name and
-    migration triple — both enter the shared flat kernels) and scenario
+    migration triple — both enter the shared physics kernel) and scenario
     shape (per-job thread count, job count, open/closed).  Seeds, work
     scales, workload names and arrival processes may differ freely within
     a group; the engine supports ragged thread counts, but grouping by
@@ -198,6 +195,7 @@ def _build_engine(task: TaskSpec):
         max_time_s=sim.max_time_s,
         record_timeseries=sim.record_timeseries,
         workload_name=spec.name,
+        llc=sim.llc,
     )
 
 
@@ -219,8 +217,8 @@ def execute_batch(batch: BatchTask) -> BatchResult:
 
     Builds a lane per member and steps them through one
     :class:`~repro.sim.batch.BatchEngine`.  Any failure at the batch level
-    — incompatible lanes, an engine bug, a policy the flat kernels cannot
-    host — falls back to scalar per-member execution, so batching is never
+    — incompatible lanes, an engine bug, a policy the batch cannot host —
+    falls back to scalar per-member execution, so batching is never
     the reason a task fails.
     """
     from repro.sim.batch import BatchEngine

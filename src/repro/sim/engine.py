@@ -15,6 +15,10 @@ shared heterogeneous machine in discrete scheduling quanta.  Per quantum it
    optional measurement noise) to the scheduler,
 7. applies the scheduler's migration actions with their costs.
 
+Steps 2–5 are :func:`step_lanes`, the only implementation of the quantum
+physics: the engine calls it with itself as the single lane, and the
+batched engine (`repro.sim.batch`) with many lanes at once.
+
 All mutable per-thread state lives in a persistent structure-of-arrays
 :class:`~repro.sim.state.SimState` that is updated incrementally — on
 arrivals, migrations, barrier waits, suspensions and completions — so a
@@ -55,7 +59,7 @@ from repro.schedulers.base import (
 )
 from repro.sim.counters import QuantumCounters, SampleColumns
 from repro.sim.llc import LLCModel, make_llc
-from repro.sim.memory import MemoryModelConfig, MemorySystem
+from repro.sim.memory import MemoryModelConfig, MemorySystem, solve_lanes
 from repro.sim.migration import MigrationModel
 from repro.sim.process import ProcessGroup
 from repro.sim.results import BenchmarkResult, RunResult
@@ -67,7 +71,166 @@ from repro.sim.trace import SwapEvent, TraceRecorder
 from repro.util.rng import make_rng
 from repro.util.validation import check_non_negative, check_positive, require
 
-__all__ = ["SimulationEngine"]
+__all__ = ["SimulationEngine", "step_lanes"]
+
+
+def step_lanes(
+    lanes: Sequence[tuple["SimulationEngine", int, int, int]],
+    st,
+    idx: np.ndarray,
+    lane: np.ndarray | None,
+    qlen: float | np.ndarray,
+    time: float | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One quantum of physics for one or more lanes.
+
+    This is the only implementation of the quantum physics: SMT sharing,
+    post-migration warm-up, the LLC, the memory fixed point, migration
+    penalties, finish stamps and progress.  The scalar engine calls it
+    with one lane; the batched engine (`repro.sim.batch`) with every lane
+    that has runnable threads.
+
+    ``st`` holds the per-thread columns (a :class:`SimState`, or the
+    batch's flat stacking of several) and ``idx`` the runnable threads as
+    indices into them.  Each entry ``(engine, lo, hi, offset)`` of
+    ``lanes`` owns the non-empty slice ``idx[lo:hi]``, and
+    ``idx[lo:hi] - offset`` are that engine's own tids.  ``lane`` gives
+    each thread's lane ordinal (``None`` for a single lane); ``qlen`` and
+    ``time`` are the quantum length and start time, as floats for a
+    single lane or per thread.  Lanes must share the machine model (see
+    :func:`repro.sim.batch.batch_compatible`).  Every sum and count is
+    taken per lane, over the slice a lone run would see, so each lane
+    gets exactly its scalar bits.
+
+    Returns ``(vcore_of, work, api, access_rate, eff_time)``, aligned with
+    ``idx``: the inputs of :meth:`SimulationEngine._sample_counters`.
+    """
+    eng0 = lanes[0][0]
+    topo = eng0.topology
+    vcore_of = st.vcore[idx]
+    cpi = st.cpi[idx]
+    api = st.api[idx]
+    miss_ratio = st.miss_ratio[idx]
+    warmup_left = st.warmup_left[idx]
+
+    # Memory-stall fraction at the uncontended stall cost, used by the SMT
+    # model (a stalled sibling frees issue slots).
+    mpi = api * miss_ratio
+    stall_cycles = mpi * eng0.memory.config.base_miss_stall_cycles
+    uncontended_cpi = cpi + stall_cycles
+    cycle_rate = smt_cycle_rates(
+        vcore_of,
+        topo.vcore_physical,
+        topo.vcore_freq_hz,
+        eng0.smt_efficiency,
+        stall_fraction=stall_cycles / uncontended_cpi,
+        n_physical=topo.n_physical_cores,
+        lane=lane,
+    )
+
+    # Post-migration cache warm-up: the miss-ratio inflation only covers
+    # `warmup_work` instructions, so scale it by the warm-up fraction of
+    # this quantum's expected work (estimated at the uncontended rate) — a
+    # thread mid-warm-up pays fully, a thread with a sliver left pays a
+    # sliver.  Threads with no warm-up left keep their ratio bit for bit.
+    inflated = bool(warmup_left.any())
+    if inflated:
+        expected = cycle_rate / uncontended_cpi * qlen
+        frac = np.clip(warmup_left / np.maximum(expected, 1.0), 0.0, 1.0)
+        scale = 1.0 + (eng0.migration.warmup_miss_scale - 1.0) * frac
+        miss_ratio = np.minimum(miss_ratio * scale, 1.0)
+    socket_of = topo.vcore_socket[vcore_of]
+    for eng, lo, hi, offset in lanes:
+        if not eng._llc_active:
+            continue
+        # The LLC resolves per-thread cache shares first; the bandwidth
+        # allocator then consumes the *effective* miss ratios occupancy
+        # implies.
+        inflated = True
+        own = _own(idx, lo, hi, offset)
+        miss_ratio[lo:hi] = eng.llc.resolve(
+            eng.state, own, miss_ratio[lo:hi], socket_of[lo:hi]
+        )
+        if eng.bus.enabled:
+            tids = own.tolist()
+            eng.bus.emit(
+                CacheShareUpdated(
+                    quantum=eng.quantum_index,
+                    time_s=eng.time_s,
+                    shares=dict(zip(tids, eng.state.cache_share[own].tolist())),
+                    working_sets=dict(
+                        zip(tids, eng.state.working_set[own].tolist())
+                    ),
+                )
+            )
+    if inflated:
+        mpi = api * miss_ratio
+    if lane is None:
+        access_rate, ips = eng0.memory.solve(cycle_rate, cpi, mpi, socket_of)
+    else:
+        access_rate, ips = solve_lanes(
+            [eng.memory for eng, _, _, _ in lanes],
+            [(lo, hi) for _, lo, hi, _ in lanes],
+            lane,
+            cycle_rate,
+            cpi,
+            mpi,
+            socket_of,
+        )
+
+    penalties = st.pending_penalty[idx]
+    eff_time = np.maximum(qlen - penalties, 0.0)
+    work = ips * eff_time
+
+    # Progress.  A single lane goes through its SimState.advance.  With
+    # several, only the lanes where a thread reaches a barrier or completes
+    # do (for the barrier, completion and occupancy bookkeeping); the
+    # others just accrue their work.
+    if lane is None:
+        hit = [0]
+    else:
+        target = st.work_done[idx] + work
+        event = (target >= st.next_barrier[idx]) | (target >= st.total_work[idx])
+        hit = np.unique(lane[event]).tolist()
+        quiet = ~np.isin(lane, hit)
+        st.work_done[idx[quiet]] = target[quiet]
+    if hit:
+        # Sub-quantum-accurate finish stamps: where this quantum's work
+        # overshoots the remaining work (and no barrier intervenes),
+        # interpolate the finish time inside the quantum.  Only the stamps
+        # of the lanes in ``hit`` are used; their progress is untouched yet.
+        end_time = time + qlen
+        remaining = np.maximum(st.total_work[idx] - st.work_done[idx], 0.0)
+        interp = work >= remaining
+        if interp.any():
+            interp &= (
+                (remaining > 0.0)
+                & (ips > 0.0)
+                & (st.next_barrier[idx] >= st.total_work[idx])
+            )
+        if interp.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                finish_at = time + penalties + remaining / ips
+            now = np.where(interp, finish_at, end_time)
+        else:
+            now = np.full(idx.size, end_time)
+        for k in hit:
+            eng, lo, hi, offset = lanes[k]
+            eng.state.advance(_own(idx, lo, hi, offset), work[lo:hi], now[lo:hi])
+    st.consume_quantum(idx, work)
+    if lane is None:
+        crossed = [0]
+    else:
+        crossed = np.unique(lane[st.work_done[idx] >= st.seg_end[idx]]).tolist()
+    for k in crossed:
+        eng, lo, hi, offset = lanes[k]
+        eng.state.refresh_segments(_own(idx, lo, hi, offset))
+    return vcore_of, work, api, access_rate, eff_time
+
+
+def _own(idx: np.ndarray, lo: int, hi: int, offset: int) -> np.ndarray:
+    """A lane's runnable threads as its own tids."""
+    return idx[lo:hi] - offset if offset else idx[lo:hi]
 
 
 class SimulationEngine:
@@ -365,6 +528,24 @@ class SimulationEngine:
 
     @timed("engine.quantum_s")
     def _execute_quantum(self, qlen: float) -> QuantumCounters:
+        live_idx = self._open_quantum(qlen)
+        idx = self.state.runnable_indices()
+        physics = (None,) * 5
+        if idx.size:
+            lanes = ((self, 0, idx.size, 0),)
+            physics = step_lanes(lanes, self.state, idx, None, qlen, self.time_s)
+        counters = self._sample_counters(qlen, idx, *physics)
+        self._close_quantum(qlen, counters, live_idx)
+        return counters
+
+    def _open_quantum(self, qlen: float) -> np.ndarray | None:
+        """Quantum head: the start event and the observer's live snapshot.
+
+        The observer's view covers every thread alive at quantum *start*
+        (threads finishing mid-quantum still appear in its last sample),
+        so the live set is snapshotted before progress is applied.
+        Returns ``None`` on the zero-observer fast path.
+        """
         if self.bus.enabled:
             self.bus.at(self.quantum_index, self.time_s)
             self.bus.emit(
@@ -374,112 +555,28 @@ class SimulationEngine:
                     quantum_length_s=qlen,
                 )
             )
+        elif not self.trace.record_timeseries:
+            return None
+        return self.state.live_indices()
+
+    def _close_quantum(
+        self,
+        qlen: float,
+        counters: QuantumCounters | None,
+        live_idx: np.ndarray | None,
+    ) -> None:
+        """Quantum tail: suspensions, clock, retirements, trace and events.
+
+        ``live_idx`` is :meth:`_open_quantum`'s snapshot; with it,
+        ``counters`` must be the quantum's sample.
+        """
         st = self.state
-        idx = st.runnable_indices()
-        # The observer's view covers every thread alive at quantum *start*
-        # (threads finishing mid-quantum still appear in its last sample),
-        # so snapshot the live set before progress is applied.  Skipped on
-        # the zero-observer fast path.
-        observing = self.trace.record_timeseries or self.bus.enabled
-        live_idx = st.live_indices() if observing else None
-
-        vcore_of = work = api = access_rate = eff_time = None
-        if idx.size:
-            vcore_of = st.vcore[idx]
-            cpi = st.cpi[idx]
-            api = st.api[idx]
-            miss_ratio = st.miss_ratio[idx]
-            warmup_left = st.warmup_left[idx]
-
-            # Memory-stall fraction at the uncontended stall cost, used by
-            # the SMT model (a stalled sibling frees issue slots).
-            base_stall = self.memory.config.base_miss_stall_cycles
-            mpi0 = api * miss_ratio
-            stall_frac = (mpi0 * base_stall) / (cpi + mpi0 * base_stall)
-            cycle_rate = smt_cycle_rates(
-                vcore_of,
-                self.topology.vcore_physical,
-                self.topology.vcore_freq_hz,
-                self.smt_efficiency,
-                stall_fraction=stall_frac,
-                n_physical=self.topology.n_physical_cores,
-            )
-
-            # Post-migration cache warm-up: the miss-ratio inflation only
-            # covers `warmup_work` instructions, so scale it by the warm-up
-            # fraction of this quantum's expected work (estimated at the
-            # uncontended rate) — a thread mid-warm-up pays fully, a thread
-            # with a sliver left pays a sliver.
-            if warmup_left.any():
-                expected = (
-                    cycle_rate
-                    / (cpi + api * miss_ratio * base_stall)
-                    * qlen
-                )
-                frac = np.clip(warmup_left / np.maximum(expected, 1.0), 0.0, 1.0)
-                scale = 1.0 + (self.migration.warmup_miss_scale - 1.0) * frac
-                miss_ratio = np.minimum(miss_ratio * scale, 1.0)
-            socket_of = self.topology.vcore_socket[vcore_of]
-            if self._llc_active:
-                # The LLC resolves per-thread cache shares first; the
-                # bandwidth allocator then consumes the *effective* miss
-                # ratios occupancy implies.
-                miss_ratio = self.llc.resolve(st, idx, miss_ratio, socket_of)
-                if self.bus.enabled:
-                    self.bus.emit(
-                        CacheShareUpdated(
-                            quantum=self.quantum_index,
-                            time_s=self.time_s,
-                            shares=dict(
-                                zip(idx.tolist(),
-                                    st.cache_share[idx].tolist())
-                            ),
-                            working_sets=dict(
-                                zip(idx.tolist(),
-                                    st.working_set[idx].tolist())
-                            ),
-                        )
-                    )
-            mpi = api * miss_ratio
-            access_rate, ips = self.memory.solve(cycle_rate, cpi, mpi, socket_of)
-
-            penalties = st.pending_penalty[idx]
-            eff_time = np.maximum(qlen - penalties, 0.0)
-            work = ips * eff_time
-
-            # Sub-quantum-accurate finish stamps: where this quantum's work
-            # overshoots the remaining work (and no barrier intervenes),
-            # interpolate the finish time inside the quantum.
-            end_time = self.time_s + qlen
-            remaining = np.maximum(st.total_work[idx] - st.work_done[idx], 0.0)
-            interp = (
-                (work >= remaining)
-                & (remaining > 0.0)
-                & (ips > 0.0)
-                & (st.next_barrier[idx] >= st.total_work[idx])
-            )
-            if interp.any():
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    finish_at = self.time_s + penalties + remaining / ips
-                now = np.where(interp, finish_at, end_time)
-            else:
-                now = np.full(idx.size, end_time)
-            st.advance(idx, work, now)
-            st.consume_quantum(idx, work)
-            st.refresh_segments(idx)
-
-        counters = self._sample_counters(
-            qlen, idx, vcore_of, work, api, access_rate, eff_time
-        )
-        # Tick down suspensions at the quantum boundary.
         st.tick_suspensions()
-
         self.time_s += qlen
         self._drain_completed()
         # Zero-observer fast path: with no trace recording and no event
         # sinks, skip materialising the per-quantum dictionaries entirely.
-        if observing:
-            assert live_idx is not None
+        if live_idx is not None:
             assignments = dict(
                 zip(live_idx.tolist(), st.vcore[live_idx].tolist())
             )
@@ -501,7 +598,6 @@ class SimulationEngine:
                     )
                 )
         self.quantum_index += 1
-        return counters
 
     def _sample_counters(
         self,

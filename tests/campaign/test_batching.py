@@ -1,9 +1,9 @@
 """Campaign batching: grouping rules, result unpacking, cache identity.
 
 The guarantee under test: ``Campaign(batch=True)`` is an execution
-strategy, not a semantic change — a mixed campaign (batchable + fallback
-tasks) produces byte-identical cached artifacts either way, failures
-surface per member, and ineligible tasks never enter a batch.
+strategy, not a semantic change — a mixed campaign (plain and LLC lanes)
+produces byte-identical cached artifacts either way, failures surface per
+member, and ineligible tasks never enter a batch.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class TestEligibility:
     def test_plain_task_is_batchable(self):
         assert batchable(_task())
 
-    def test_llc_task_is_not(self):
-        assert not batchable(_task(llc="occupancy"))
+    def test_llc_task_is_batchable(self):
+        assert batchable(_task(llc="occupancy"))
 
     def test_invariant_task_is_not(self):
         from dataclasses import replace
@@ -78,10 +78,23 @@ class TestPlanning:
         assert sizes == [3, DEFAULT_BATCH_SIZE]
 
     def test_singletons_and_ineligible_stay_scalar(self):
-        tasks = [_task("cfs", 0), _task("dike", 0), _task("cfs", 1, llc="occupancy")]
+        from dataclasses import replace
+
+        tasks = [
+            _task("cfs", 0),
+            _task("dike", 0),
+            replace(_task("cfs", 1), invariants=True),
+        ]
         units = plan_batches(_keyed(tasks))
         assert all(isinstance(u, TaskSpec) for _, u in units)
         assert len(units) == 3
+
+    def test_llc_tasks_become_one_batch(self):
+        units = plan_batches(
+            _keyed([_task(seed=s, llc="occupancy") for s in range(3)])
+        )
+        (_, unit), = units
+        assert isinstance(unit, BatchTask) and len(unit.items) == 3
 
     def test_unit_keys_are_unique(self):
         tasks = [_task(seed=s) for s in range(4)] + [_task("dike", s) for s in range(4)]
@@ -97,6 +110,21 @@ class TestExecution:
         assert isinstance(out, BatchResult) and not out.fallback
         assert set(out.results) == set(batch.keys)
         assert out.n_quanta == sum(r.n_quanta for r in out.results.values())
+
+    def test_llc_batch_runs_batched_and_matches_scalar(self):
+        from repro.campaign.batching import execute_unit
+        from repro.campaign.spec import execute_task
+        from repro.experiments.serialization import run_result_to_full_json
+
+        tasks = [_task("dike", s, llc="occupancy") for s in range(2)]
+        tasks.append(_task("dike", 2))
+        batch = BatchTask(items=tuple(_keyed(tasks)))
+        out = execute_unit(batch)
+        assert isinstance(out, BatchResult) and not out.fallback
+        for key, task in batch.items:
+            assert run_result_to_full_json(out.results[key]) == (
+                run_result_to_full_json(execute_task(task))
+            )
 
     def test_engine_failure_falls_back_to_scalar(self, monkeypatch):
         import repro.sim.batch as batch_mod
@@ -115,7 +143,7 @@ class TestCacheIdentity:
         tasks = [_task("cfs", s) for s in range(4)]
         tasks += [_task("dike", s) for s in range(2)]
         tasks += [_task("cfs", 0, wl="wl7")]          # same shape, batches in
-        tasks += [_task("cfs", 1, llc="occupancy")]   # fallback: scalar
+        tasks += [_task("cfs", 1, llc="occupancy")]   # LLC lane, batches in
         return tasks
 
     def _store_bytes(self, root) -> dict[str, bytes]:

@@ -5,8 +5,8 @@ compatible runs, every lane's ``RunResult`` — metrics, events, info —
 serialises to exactly the bytes the scalar engine produces for the same
 run, and the final ``SimState`` columns match bit-for-bit.  These tests
 pin that down over randomized (seed, workload, policy) triples, mixed run
-lengths (early finishers), open-loop arrivals and truncation, plus the
-JSONL byte-identity of a traced lane.
+lengths (early finishers), open-loop arrivals, truncation and mixed LLC
+models, plus the JSONL byte-identity of a traced lane.
 """
 
 from __future__ import annotations
@@ -131,20 +131,34 @@ class TestLifecycleEdges:
 
 
 class TestCompatibility:
-    def test_llc_lane_is_incompatible(self):
-        spec = workload("wl1")
-        lane = SimulationEngine(
-            topology=xeon_e5_heterogeneous(),
-            groups=spec.build(seed=1, work_scale=WORK_SCALE),
-            scheduler=REGISTRY.factory("cfs")(),
-            seed=1,
-            workload_name=spec.name,
-            llc="occupancy",
-        )
-        reason = batch_compatible([_engine("wl1", "cfs", 2), lane])
-        assert reason is not None and "llc" in reason.lower()
-        with pytest.raises(ValueError):
-            BatchEngine([_engine("wl1", "cfs", 2), lane])
+    def test_llc_and_no_llc_lanes_batch_together(self):
+        # Occupancy-LLC lanes share the physics kernel with plain lanes;
+        # each lane's result still serialises to its scalar bytes.
+        configs = [
+            ("wl1", "cfs", 1, "occupancy"),
+            ("wl7", "dike", 2, None),
+            ("wl12", "lfoc", 3, "occupancy"),
+            ("wl1", "dio", 4, None),
+        ]
+
+        def build(wl, policy, seed, llc):
+            spec = workload(wl)
+            return SimulationEngine(
+                topology=xeon_e5_heterogeneous(),
+                groups=spec.build(seed=seed, work_scale=WORK_SCALE),
+                scheduler=REGISTRY.factory(policy)(),
+                seed=seed,
+                workload_name=spec.name,
+                llc=llc,
+            )
+
+        lanes = [build(*c) for c in configs]
+        assert batch_compatible(lanes) is None
+        scalar = [build(*c).run() for c in configs]
+        batched = BatchEngine(lanes).run()
+        for c, s, b in zip(configs, scalar, batched):
+            assert ("llc" in b.info) == (c[3] is not None)
+            assert run_result_to_full_json(s) == run_result_to_full_json(b), c
 
     def test_compatible_lanes_pass(self):
         assert (
@@ -158,7 +172,7 @@ class TestTraceByteIdentity:
         from repro.obs.events import EventBus
         from repro.obs.sinks import JsonlSink
 
-        def run_traced(path, batched: bool):
+        def run_traced(path, batched: bool, llc):
             bus = EventBus()
             sink = JsonlSink(str(path))
             bus.attach(sink)
@@ -169,6 +183,7 @@ class TestTraceByteIdentity:
                 scheduler=REGISTRY.factory("dike")(),
                 seed=4,
                 workload_name=spec.name,
+                llc=llc,
                 bus=bus,
             )
             if batched:
@@ -180,10 +195,14 @@ class TestTraceByteIdentity:
                 lane.run()
             sink.close()
 
-        a, b = tmp_path / "scalar.jsonl", tmp_path / "batched.jsonl"
-        run_traced(a, batched=False)
-        run_traced(b, batched=True)
-        assert a.read_bytes() == b.read_bytes()
+        for llc in (None, "occupancy"):
+            a = tmp_path / f"scalar-{llc}.jsonl"
+            b = tmp_path / f"batched-{llc}.jsonl"
+            run_traced(a, batched=False, llc=llc)
+            run_traced(b, batched=True, llc=llc)
+            assert a.read_bytes() == b.read_bytes(), llc
+            # The LLC lane's cache-share events come from the shared kernel.
+            assert (b'"cache_share_updated"' in b.read_bytes()) == (llc is not None)
 
     def test_trace_diff_exits_zero(self, tmp_path):
         from repro.obs.diff import diff_traces, load_events

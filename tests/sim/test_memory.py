@@ -362,3 +362,94 @@ class TestSolveConvergence:
         sys_.solve(*args)
         warm = sys_.last_iterations
         assert warm <= cold
+
+
+def _golden_machine():
+    """The two-socket machine of the golden traces (tests/golden/)."""
+    from repro.sim.topology import SocketSpec, Topology
+
+    return Topology(
+        (
+            SocketSpec(2.0, 2, 2, interconnect_gbps=8.0),
+            SocketSpec(1.0, 2, 2, interconnect_gbps=3.0),
+        ),
+        memory_controller_gbps=10.0,
+    )
+
+
+@st.composite
+def lane_sets(draw):
+    """1-5 lanes; a heavy lane crowds the slow socket's link."""
+    topo = _golden_machine()
+    slow = np.flatnonzero(topo.vcore_socket == 1)
+    elements = {"allow_nan": False, "allow_infinity": False}
+    lanes = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):  # heavy: memory-bound threads, slow socket
+            n = draw(st.integers(6, 12))
+            vcore = slow[draw(hnp.arrays(np.int64, n, elements=st.integers(0, slow.size - 1)))]
+            cpi_hi, mpi_lo, mpi_hi = 1.0, 0.03, 0.08
+        else:
+            n = draw(st.integers(1, 12))
+            vcore = draw(hnp.arrays(np.int64, n, elements=st.integers(0, topo.n_vcores - 1)))
+            cpi_hi, mpi_lo, mpi_hi = 3.0, 0.0, 0.02
+        lanes.append((
+            topo.vcore_freq_hz[vcore]
+            * draw(hnp.arrays(np.float64, n, elements=st.floats(0.35, 1.0, **elements))),
+            draw(hnp.arrays(np.float64, n, elements=st.floats(0.3, cpi_hi, **elements))),
+            draw(hnp.arrays(np.float64, n, elements=st.floats(mpi_lo, mpi_hi, **elements))),
+            topo.vcore_socket[vcore],
+            draw(st.floats(0.0, 1.5, **elements)),  # warm-start utilisation
+        ))
+    return topo, lanes
+
+
+class TestSegmentedFixedPoint:
+    """`solve_lanes` over many lanes gives each lane its lone solve."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(lane_sets())
+    def test_each_lane_bit_equal_to_solving_it_alone(self, case):
+        from repro.sim.memory import solve_lanes
+
+        topo, lanes = case
+
+        def system(rho0):
+            m = MemorySystem(
+                topo.socket_interconnect_rate, topo.memory_controller_rate
+            )
+            m.last_utilization = rho0
+            return m
+
+        alone = []
+        for cycle_rate, cpi, mpi, socket_of, rho0 in lanes:
+            m = system(rho0)
+            alone.append((*m.solve(cycle_rate, cpi, mpi, socket_of), m))
+
+        systems = [system(lane[4]) for lane in lanes]
+        counts = [lane[0].size for lane in lanes]
+        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        segments = list(zip(bounds[:-1], bounds[1:]))
+        flat = [np.concatenate([lane[i] for lane in lanes]) for i in range(4)]
+        access, ips = solve_lanes(
+            systems,
+            segments,
+            np.repeat(np.arange(len(lanes)), counts),
+            *flat,
+        )
+
+        socket_cap = topo.socket_interconnect_rate
+        controller_cap = topo.memory_controller_rate
+        slack = 1.0 + 1e-9  # float rounding of the waterfill level
+        for (lo, hi), m, (a_ref, ips_ref, m_ref), lane in zip(
+            segments, systems, alone, lanes
+        ):
+            a = access[lo:hi]
+            assert a.tobytes() == a_ref.tobytes()
+            assert ips[lo:hi].tobytes() == ips_ref.tobytes()
+            assert m.last_utilization == m_ref.last_utilization
+            assert m.last_iterations == m_ref.last_iterations
+            assert np.isfinite(a).all() and np.isfinite(ips[lo:hi]).all()
+            per_socket = np.bincount(lane[3], weights=a, minlength=socket_cap.size)
+            assert (per_socket <= socket_cap * slack).all()
+            assert a.sum() <= controller_cap * slack
