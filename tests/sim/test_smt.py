@@ -72,3 +72,23 @@ class TestSmtCycleRates:
         alone = smt_cycle_rates(np.array([0]), PHYS, FREQ)[0]
         shared = smt_cycle_rates(np.array([0, 1]), PHYS, FREQ, smt_efficiency=0.7)
         assert shared.sum() > alone
+
+    def test_lanes_are_separate_machines(self):
+        """With lane keys each lane gets exactly its lone-call bits."""
+        vcores = [np.array([0, 1, 2]), np.array([1, 0, 0, 3]), np.array([2])]
+        stalls = [np.array([0.1, 0.9, 0.4]), np.array([0.3, 0.0, 1.0, 0.2]),
+                  np.array([0.5])]
+        alone = [
+            smt_cycle_rates(v, PHYS, FREQ, stall_fraction=s)
+            for v, s in zip(vcores, stalls)
+        ]
+        lanes = smt_cycle_rates(
+            np.concatenate(vcores), PHYS, FREQ,
+            stall_fraction=np.concatenate(stalls),
+            lane=np.repeat(np.arange(3), [v.size for v in vcores]),
+        )
+        assert lanes.tobytes() == np.concatenate(alone).tobytes()
+
+    def test_lane_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            smt_cycle_rates(np.array([0, 1]), PHYS, FREQ, lane=np.array([0]))
