@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.campaign import cachekey
 from repro.campaign.cachekey import cache_key, task_fingerprint
 from repro.campaign.spec import SimParams, TaskSpec, WorkloadRef
+from repro.policies import REGISTRY
+from repro.spec import ExperimentSpec
+from repro.topologies import TOPOLOGY_REGISTRY
 from repro.workloads.suite import workload
 
 
@@ -76,3 +82,39 @@ class TestSensitivity:
         with_trace = _task(sim=SimParams(work_scale=0.1, record_timeseries=True))
         without = _task(sim=SimParams(work_scale=0.1, record_timeseries=False))
         assert cache_key(with_trace) == cache_key(without)
+
+
+GOLDEN_KEYS = Path(__file__).resolve().parents[1] / "golden" / "cache_keys.json"
+
+
+def _golden_entries() -> list[dict]:
+    return json.loads(GOLDEN_KEYS.read_text())["entries"]
+
+
+class TestGoldenKeyTable:
+    """Every pinned wire form must still hash to its recorded address.
+
+    The table (``tests/golden/cache_keys.json``) covers every policy and
+    topology preset plus each field that enters the fingerprint only
+    when set; its keys were computed by the original task constructor,
+    so a pass here means historical object stores stay warm.
+    """
+
+    @pytest.mark.parametrize(
+        "entry", _golden_entries(), ids=lambda e: e["name"]
+    )
+    def test_wire_form_keeps_its_recorded_key(self, entry):
+        spec = ExperimentSpec.from_dict(entry["spec"])
+        assert spec.cache_key() == entry["key"]
+        assert cache_key(spec) == entry["key"]
+
+    def test_table_covers_every_policy_and_topology(self):
+        names = {e["name"] for e in _golden_entries()}
+        assert {f"policy/{p}" for p in REGISTRY.names()} <= names
+        assert {f"topology/{t}" for t in TOPOLOGY_REGISTRY.names()} <= names
+
+    def test_record_timeseries_shares_its_twins_key(self):
+        by_name = {e["name"]: e for e in _golden_entries()}
+        twin = by_name["record_timeseries/true"]
+        assert twin["spec"]["record_timeseries"] is True
+        assert twin["key"] == by_name["policy/dike"]["key"]
