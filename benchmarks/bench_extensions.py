@@ -13,10 +13,10 @@ import numpy as np
 
 from conftest import run_once
 
-from repro.core.dike import dike, dike_ap
 from repro.experiments.runner import run_workload
 from repro.metrics.fairness import fairness
 from repro.metrics.performance import speedup
+from repro.policies import REGISTRY
 from repro.schedulers.cfs import CFSScheduler
 from repro.schedulers.oracle import OracleStaticScheduler
 from repro.schedulers.suspension import SuspensionScheduler
@@ -36,7 +36,7 @@ def test_enforcement_mechanisms(benchmark, save_artefact):
             spec = workload(wl_name)
             base = run_workload(spec, CFSScheduler(), work_scale=SCALE)
             for label, factory in (
-                ("dike (migration)", dike),
+                ("dike (migration)", REGISTRY.factory("dike")),
                 ("suspension", SuspensionScheduler),
                 ("oracle-static", OracleStaticScheduler),
             ):
@@ -80,8 +80,8 @@ def test_open_system_adaptation(benchmark, save_artefact):
     def run():
         wl = phased_workload()
         base = run_workload(wl, CFSScheduler(), work_scale=SCALE)
-        r_static = run_workload(wl, dike(), work_scale=SCALE)
-        r_ap = run_workload(wl, dike_ap(), work_scale=SCALE)
+        r_static = run_workload(wl, REGISTRY.build("dike"), work_scale=SCALE)
+        r_ap = run_workload(wl, REGISTRY.build("dike-ap"), work_scale=SCALE)
         return {
             "dike": (fairness(r_static), speedup(r_static, base),
                      len(r_static.info["config_history"]) - 1),

@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from repro import (
+    REGISTRY,
     CFSScheduler,
     DIOScheduler,
-    dike,
     fairness,
     run_workload,
     speedup,
@@ -83,7 +83,7 @@ def main() -> None:
         "cfs": CFSScheduler,
         "dio": DIOScheduler,
         "greedy-bw": GreedyBandwidthBalancer,
-        "dike": dike,
+        "dike": REGISTRY.factory("dike"),
     }
     rows = []
     for wl_name in ("wl2", "wl13"):

@@ -16,11 +16,9 @@ from __future__ import annotations
 import sys
 
 from repro import (
+    REGISTRY,
     CFSScheduler,
     DIOScheduler,
-    dike,
-    dike_af,
-    dike_ap,
     fairness,
     run_workload,
     speedup,
@@ -38,9 +36,9 @@ def main() -> None:
     policies = {
         "cfs": CFSScheduler,
         "dio": DIOScheduler,
-        "dike": dike,
-        "dike-af": dike_af,
-        "dike-ap": dike_ap,
+        "dike": REGISTRY.factory("dike"),
+        "dike-af": REGISTRY.factory("dike-af"),
+        "dike-ap": REGISTRY.factory("dike-ap"),
     }
     results = {
         name: run_workload(wl, factory(), work_scale=work_scale)

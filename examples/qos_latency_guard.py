@@ -23,10 +23,9 @@ import sys
 import numpy as np
 
 from repro import (
+    REGISTRY,
     CFSScheduler,
     DIOScheduler,
-    dike,
-    dike_af,
     run_standalone,
     run_workload,
 )
@@ -49,8 +48,8 @@ def main() -> None:
     policies = {
         "cfs": CFSScheduler,
         "dio": DIOScheduler,
-        "dike": dike,
-        "dike-af": dike_af,
+        "dike": REGISTRY.factory("dike"),
+        "dike-af": REGISTRY.factory("dike-af"),
     }
 
     rows = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 
-from repro import CFSScheduler, DIOScheduler, dike, run_workload, workload
+from repro import REGISTRY, CFSScheduler, DIOScheduler, run_workload, workload
 from repro.analysis import placement_timeline, swap_activity_sparkline
 from repro.sim.topology import xeon_e5_heterogeneous
 
@@ -27,7 +27,7 @@ def main() -> None:
     for name, factory in (
         ("cfs", CFSScheduler),
         ("dio", DIOScheduler),
-        ("dike", dike),
+        ("dike", REGISTRY.factory("dike")),
     ):
         result = run_workload(
             spec, factory(), work_scale=work_scale,

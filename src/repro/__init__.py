@@ -20,8 +20,8 @@ Layers (see DESIGN.md):
 * :mod:`repro.campaign` — parallel, cached, fault-tolerant grids;
 * :mod:`repro.spec` — the unified experiment spec: composable,
   schema-versioned :class:`repro.ExperimentSpec` (policy + topology refs
-  validated against the registries, cache keys byte-identical to the
-  legacy task form);
+  validated against the registries), the one type the campaign layer
+  plans, hashes and runs;
 * :mod:`repro.tune` — offline search-based self-tuning (GA /
   successive halving) over cached campaign evaluations (`repro tune`);
 * :mod:`repro.traffic` — open-loop load generation (arrival-process
@@ -37,14 +37,7 @@ Quickstart::
         print(name, fairness(res), speedup(res, base), res.swap_count)
 """
 
-from repro.core import (
-    AdaptationGoal,
-    DikeConfig,
-    DikeScheduler,
-    dike,
-    dike_af,
-    dike_ap,
-)
+from repro.core import AdaptationGoal, DikeConfig, DikeScheduler
 from repro.experiments.runner import (
     run_policies,
     run_scenario,
@@ -62,17 +55,6 @@ from repro.topologies import (
 
 
 def __getattr__(name: str):
-    # Deprecated re-export; the registry ("standard" tag) replaces it.
-    if name == "STANDARD_POLICIES":
-        from repro.experiments import runner
-
-        return runner.STANDARD_POLICIES
-    # Deprecated open-system names: the shim module warns and delegates
-    # to repro.traffic (see docs/traffic.md).
-    if name in ("DynamicWorkload", "phased_workload", "poisson_arrivals"):
-        from repro.workloads import dynamic
-
-        return getattr(dynamic, name)
     # Traffic subsystem entry points, resolved lazily to keep base import
     # cost flat (repro.traffic pulls in the campaign integration).
     if name in ("TrafficWorkload", "TrafficSpec", "JobTracker", "summarize_result"):
@@ -135,10 +117,6 @@ __all__ = [
     "AdaptationGoal",
     "DikeConfig",
     "DikeScheduler",
-    "dike",
-    "dike_af",
-    "dike_ap",
-    "STANDARD_POLICIES",
     "REGISTRY",
     "PolicyRegistry",
     "PolicySpec",
@@ -181,11 +159,8 @@ __all__ = [
     "homogeneous",
     "multi_socket",
     "xeon_e5_heterogeneous",
-    "DynamicWorkload",
     "WorkloadSpec",
     "all_workloads",
-    "phased_workload",
-    "poisson_arrivals",
     "random_workload",
     "workload",
     "workload_with_mix",

@@ -16,8 +16,9 @@ layer feeds it *groups* of compatible tasks.  This module is that glue:
   ``max_batch`` members.  Ineligible tasks and singleton groups pass
   through as plain scalar units, preserving first-seen order.
 * :func:`execute_batch` / :func:`execute_unit` — the worker entry points.
-  A batch builds one engine per member (exactly as
-  :func:`~repro.campaign.spec.execute_task` would) and runs them through
+  A batch builds one engine per member with
+  :func:`~repro.campaign.worker.build_engine` (the builder the scalar
+  path uses) and runs them through
   a :class:`~repro.sim.batch.BatchEngine`; on *any* batch-level error it
   falls back transparently to scalar per-member execution, so a batch can
   only fail if the individual tasks fail.
@@ -32,13 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.campaign.spec import (
-    TaskSpec,
-    execute_task,
-)
-from repro.policies import REGISTRY
+from repro.campaign.worker import build_engine, execute_task, stamp_traffic
 from repro.sim.results import RunResult
-from repro.topologies import TOPOLOGY_REGISTRY
+from repro.spec import ExperimentSpec
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -61,26 +58,26 @@ DEFAULT_BATCH_SIZE = 32
 class BatchTask:
     """One executor unit bundling several compatible tasks.
 
-    Duck-types the slice of ``TaskSpec`` the executor uses (``label()``
-    plus picklability), so it flows through
+    Duck-types the slice of ``ExperimentSpec`` the executor uses
+    (``label()`` plus picklability), so it flows through
     :func:`~repro.campaign.executor.run_tasks` unchanged.
     """
 
-    items: tuple[tuple[str, TaskSpec], ...]
+    items: tuple[tuple[str, ExperimentSpec], ...]
 
     @property
     def keys(self) -> tuple[str, ...]:
         return tuple(k for k, _ in self.items)
 
     @property
-    def tasks(self) -> tuple[TaskSpec, ...]:
+    def tasks(self) -> tuple[ExperimentSpec, ...]:
         return tuple(t for _, t in self.items)
 
     def label(self) -> str:
         first = self.items[0][1]
         seeds = [t.seed for _, t in self.items]
         return (
-            f"batch[{len(self.items)}]:{first.workload.name}/{first.policy}"
+            f"batch[{len(self.items)}]:{first.workload.name}/{first.policy.name}"
             f"@s{min(seeds)}..s{max(seeds)}"
         )
 
@@ -99,14 +96,12 @@ class BatchResult:
     fallback: bool = False
 
 
-def batchable(task: TaskSpec) -> bool:
+def batchable(task: ExperimentSpec) -> bool:
     """Whether ``task`` may run inside a batch (see module docstring)."""
-    if not isinstance(task, TaskSpec) and hasattr(task, "to_task"):
-        task = task.to_task()
-    return not task.invariants and not task.sim.record_timeseries
+    return not task.invariants and not task.record_timeseries
 
 
-def batch_signature(task: TaskSpec) -> tuple:
+def batch_signature(task: ExperimentSpec) -> tuple:
     """Group key: tasks sharing it can run in one ``BatchEngine``.
 
     Policy family (name + parameters), machine model (topology name and
@@ -117,16 +112,12 @@ def batch_signature(task: TaskSpec) -> tuple:
     shape keeps lane lengths similar so stragglers don't serialise the
     batch.
     """
-    if not isinstance(task, TaskSpec) and hasattr(task, "to_task"):
-        task = task.to_task()
     wl = task.workload
     return (
         task.policy,
-        task.policy_params,
-        task.sim.topology,
-        task.sim.topology_params,
-        task.sim.migration,
-        task.sim.counter_noise,
+        task.topology,
+        task.migration,
+        task.counter_noise,
         wl.threads_per_app,
         len(wl.apps),
         bool(wl.arrivals),
@@ -134,9 +125,9 @@ def batch_signature(task: TaskSpec) -> tuple:
 
 
 def plan_batches(
-    items: Sequence[tuple[str, TaskSpec]],
+    items: Sequence[tuple[str, ExperimentSpec]],
     max_batch: int = DEFAULT_BATCH_SIZE,
-) -> list[tuple[str, TaskSpec | BatchTask]]:
+) -> list[tuple[str, ExperimentSpec | BatchTask]]:
     """Group ``(key, task)`` pairs into executor units.
 
     Eligible tasks with a shared :func:`batch_signature` merge into
@@ -144,7 +135,7 @@ def plan_batches(
     else (ineligible tasks, singleton groups) stays a scalar unit.  Units
     keep the first-seen order of their first member.
     """
-    groups: dict[tuple, list[tuple[str, TaskSpec]]] = {}
+    groups: dict[tuple, list[tuple[str, ExperimentSpec]]] = {}
     order: list[tuple[str, object]] = []  # (kind, payload) in input order
     for key, task in items:
         if not batchable(task):
@@ -156,7 +147,7 @@ def plan_batches(
             order.append(("group", sig))
         groups[sig].append((key, task))
 
-    units: list[tuple[str, TaskSpec | BatchTask]] = []
+    units: list[tuple[str, ExperimentSpec | BatchTask]] = []
     for kind, payload in order:
         if kind == "scalar":
             units.append(payload)  # type: ignore[arg-type]
@@ -176,42 +167,6 @@ def plan_batches(
     return units
 
 
-def _build_engine(task: TaskSpec):
-    """One lane, wired exactly as ``execute_task``/``run_workload`` wire a
-    scalar run (no observers: batchable tasks have none)."""
-    from repro.sim.engine import SimulationEngine
-    from repro.sim.migration import MigrationModel
-
-    sim = task.sim
-    spec = task.workload.to_spec()
-    groups = spec.build(seed=task.seed, work_scale=sim.work_scale)
-    return SimulationEngine(
-        topology=TOPOLOGY_REGISTRY.build(sim.topology, dict(sim.topology_params)),
-        groups=groups,
-        scheduler=REGISTRY.build(task.policy, task.params),
-        migration=MigrationModel(*sim.migration) if sim.migration else None,
-        seed=task.seed,
-        counter_noise=sim.counter_noise,
-        max_time_s=sim.max_time_s,
-        record_timeseries=sim.record_timeseries,
-        workload_name=spec.name,
-        llc=sim.llc,
-    )
-
-
-def _stamp_traffic(task: TaskSpec, result: RunResult) -> None:
-    # Mirrors the tail of execute_task for open-loop tasks.
-    from repro.traffic.tracker import summarize_result
-
-    result.info["traffic"] = summarize_result(  # type: ignore[index]
-        result,
-        work_scale=task.sim.work_scale,
-        topology=task.sim.topology,
-        seed=task.seed,
-        topology_params=task.sim.topology_params,
-    ).to_dict()
-
-
 def execute_batch(batch: BatchTask) -> BatchResult:
     """Run one batch in-process (the worker entry point for batch units).
 
@@ -224,12 +179,12 @@ def execute_batch(batch: BatchTask) -> BatchResult:
     from repro.sim.batch import BatchEngine
 
     try:
-        engines = [_build_engine(task) for task in batch.tasks]
+        engines = [build_engine(task) for task in batch.tasks]
         run_results = BatchEngine(engines).run()
         results: dict[str, RunResult] = {}
         for (key, task), result in zip(batch.items, run_results):
             if task.traffic:
-                _stamp_traffic(task, result)
+                stamp_traffic(task, result)
             results[key] = result
         fallback = False
     except Exception:
@@ -243,7 +198,7 @@ def execute_batch(batch: BatchTask) -> BatchResult:
 
 
 def execute_unit(
-    unit: TaskSpec | BatchTask, trace_dir: str | None = None
+    unit: ExperimentSpec | BatchTask, trace_dir: str | None = None
 ) -> RunResult | BatchResult:
     """Dispatch one executor unit: scalar task or batch."""
     if isinstance(unit, BatchTask):

@@ -3,9 +3,9 @@
 A :class:`Campaign` ties the subsystem together: the planner's dedup, the
 content-addressed :class:`~repro.campaign.store.ResultStore`, the
 fault-tolerant executor and the telemetry stream.  Experiment modules
-build task lists and call :meth:`Campaign.gather`; everything else —
-dedup, cache lookup, parallel execution, persistence, resumability — is
-this class's concern.
+build `repro.spec.ExperimentSpec` lists and call :meth:`Campaign.gather`;
+everything else — dedup, cache lookup, parallel execution, persistence,
+resumability — is this class's concern.
 
 Resumability falls out of the design: a rerun of a partially completed
 campaign plans the same keys, finds the finished ones in the store, and
@@ -33,11 +33,12 @@ from repro.campaign.batching import (
 )
 from repro.campaign.cachekey import cache_key
 from repro.campaign.executor import ExecutorConfig, TaskFailure, run_tasks
-from repro.campaign.spec import TaskSpec, execute_task
 from repro.campaign.store import ResultStore
 from repro.campaign.telemetry import Telemetry
+from repro.campaign.worker import execute_task
 from repro.obs.attach import run_info_telemetry
 from repro.sim.results import RunResult
+from repro.spec import ExperimentSpec
 
 __all__ = ["Campaign", "CampaignError"]
 
@@ -56,7 +57,7 @@ class CampaignError(RuntimeError):
 
 
 class Campaign:
-    """Executes task specs through cache + pool; results come back in order."""
+    """Executes experiment specs through cache + pool; results come back in order."""
 
     def __init__(
         self,
@@ -119,9 +120,9 @@ class Campaign:
     # ------------------------------------------------------------- gather
 
     def gather(
-        self, tasks: Sequence[TaskSpec], strict: bool = True
+        self, tasks: Sequence[ExperimentSpec], strict: bool = True
     ) -> list[RunResult | TaskFailure]:
-        """Resolve every task, in input order (duplicates share one run).
+        """Resolve every spec, in input order (duplicates share one run).
 
         Cache hits (memo, then disk) never re-execute; misses run through
         the executor and are persisted.  With ``strict`` (the default for
@@ -134,28 +135,20 @@ class Campaign:
         are distinct cache entries — and a cache hit on one *replays* the
         recorded violation digest into telemetry instead of reporting
         zero for skipped work.
-
-        Accepts `repro.spec.ExperimentSpec` entries interchangeably with
-        legacy `TaskSpec`s — specs normalise to their `TaskSpec` image at
-        this boundary (identical cache keys, see `ExperimentSpec.to_task`),
-        so the executor path stays picklable and unchanged.
         """
-        tasks = [
-            t if isinstance(t, TaskSpec) else t.to_task() for t in tasks
-        ]
         if self.invariants:
             tasks = [
                 t if t.invariants else replace(t, invariants=True)
                 for t in tasks
             ]
         keys = [cache_key(t) for t in tasks]
-        unique: dict[str, TaskSpec] = {}
+        unique: dict[str, ExperimentSpec] = {}
         for key, task in zip(keys, tasks):
             unique.setdefault(key, task)
         self.telemetry.tasks_planned(len(tasks), len(unique))
 
         resolved: dict[str, RunResult | TaskFailure] = {}
-        to_run: list[tuple[str, TaskSpec]] = []
+        to_run: list[tuple[str, ExperimentSpec]] = []
         for key, task in unique.items():
             hit = self._lookup(key)
             if hit is not None:
@@ -170,7 +163,9 @@ class Campaign:
 
         if to_run:
             if self.batch and self.trace_dir is None:
-                units: list[tuple[str, TaskSpec | BatchTask]] = plan_batches(to_run)
+                units: list[tuple[str, ExperimentSpec | BatchTask]] = (
+                    plan_batches(to_run)
+                )
                 fn = execute_unit
                 folded = len(to_run) - len(units)
                 if folded:
@@ -204,8 +199,8 @@ class Campaign:
                 raise CampaignError(failures)
         return [resolved[key] for key in keys]
 
-    def run(self, task: TaskSpec) -> RunResult:
-        """Resolve a single task (strict)."""
+    def run(self, task: ExperimentSpec) -> RunResult:
+        """Resolve a single spec (strict)."""
         return self.gather([task])[0]
 
     # ------------------------------------------------------------ private
@@ -213,7 +208,7 @@ class Campaign:
     @staticmethod
     def _unpack(
         unit_key: str,
-        units: Sequence[tuple[str, TaskSpec | BatchTask]],
+        units: Sequence[tuple[str, ExperimentSpec | BatchTask]],
         result: RunResult | BatchResult | TaskFailure,
     ) -> list[tuple[str, RunResult | TaskFailure]]:
         """Flatten one executor unit's outcome to per-member entries."""

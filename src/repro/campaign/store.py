@@ -18,12 +18,12 @@ import json
 import os
 from pathlib import Path
 
-from repro.campaign.spec import TaskSpec
 from repro.experiments.serialization import (
     run_result_from_dict,
     run_result_to_full_dict,
 )
 from repro.sim.results import RunResult
+from repro.spec import ExperimentSpec
 
 __all__ = ["ResultStore"]
 
@@ -58,8 +58,11 @@ class ResultStore:
 
     # -------------------------------------------------------------- write
 
-    def put(self, key: str, result: RunResult, task: TaskSpec | None = None) -> Path:
-        """Persist one result atomically and append an index line.
+    def put(
+        self, key: str, result: RunResult, task: ExperimentSpec | None = None
+    ) -> Path:
+        """Persist one result atomically and append an index line (with
+        ``task.label()`` when the spec is given).
 
         The volatile ``info["traffic"]["baseline_cache"]`` hit counters
         (process-history-dependent observability, not a property of the

@@ -12,7 +12,7 @@ from repro.core.config import (
     all_configurations,
 )
 from repro.core.decider import Decider
-from repro.core.dike import DikeScheduler, dike, dike_af, dike_ap
+from repro.core.dike import DikeScheduler
 from repro.core.migrator import Migrator
 from repro.core.observer import Observer, ObserverReport
 from repro.core.optimizer import Optimizer, classify_workload
@@ -27,9 +27,6 @@ __all__ = [
     "all_configurations",
     "Decider",
     "DikeScheduler",
-    "dike",
-    "dike_af",
-    "dike_ap",
     "Migrator",
     "Observer",
     "ObserverReport",

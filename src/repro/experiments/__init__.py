@@ -25,16 +25,6 @@ from repro.experiments.runner import (
     run_standalone,
     run_workload,
 )
-
-
-def __getattr__(name: str):
-    # Deprecated re-export; resolving it lazily keeps the warning at the
-    # point of use rather than at package import.
-    if name == "STANDARD_POLICIES":
-        from repro.experiments import runner
-
-        return runner.STANDARD_POLICIES
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 from repro.experiments.sweep import ConfigSweepResult, sweep_configurations
 from repro.experiments.table3 import Table3Result, run_table3
 from repro.experiments.tables12 import (
@@ -66,7 +56,6 @@ __all__ = [
     "run_experiment",
     "run_result_to_dict",
     "run_result_to_json",
-    "STANDARD_POLICIES",
     "run_policies",
     "run_standalone",
     "run_workload",

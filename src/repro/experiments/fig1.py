@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.campaign.core import Campaign
-from repro.campaign.spec import SimParams, TaskSpec, WorkloadRef
+from repro.spec import ExperimentSpec, SimParams
 from repro.util.rng import DEFAULT_SEED
 from repro.util.tables import format_table
 from repro.workloads.suite import WorkloadSpec, workload
@@ -73,9 +73,9 @@ class Fig1Result:
         )
 
 
-def _standalone_ref(spec: WorkloadSpec, benchmark: str) -> WorkloadRef:
-    """The solo workload of `run_standalone`, as a campaign reference."""
-    return WorkloadRef(
+def _standalone(spec: WorkloadSpec, benchmark: str) -> WorkloadSpec:
+    """The solo workload of `run_standalone`."""
+    return WorkloadSpec(
         name=f"{spec.name}:{benchmark}:standalone",
         apps=(benchmark,),
         include_kmeans=False,
@@ -100,16 +100,15 @@ def run_fig1(
     camp = campaign or Campaign.inline()
     sim_het = SimParams(work_scale=work_scale, topology="heterogeneous")
     sim_hom = SimParams(work_scale=work_scale, topology="homogeneous")
-    tasks: list[TaskSpec] = []
+    tasks: list[ExperimentSpec] = []
     for wl_name, bench in cases:
         spec = workload(wl_name)
-        wl = WorkloadRef.from_spec(spec)
-        tasks.append(TaskSpec(wl, "cfs", seed, sim=sim_het))
-        tasks.append(TaskSpec(wl, "cfs", seed, sim=sim_hom))
+        tasks.append(ExperimentSpec.for_workload(spec, "cfs", seed, sim=sim_het))
+        tasks.append(ExperimentSpec.for_workload(spec, "cfs", seed, sim=sim_hom))
         tasks.append(
-            TaskSpec(
-                _standalone_ref(spec, bench), "static", seed,
-                (("fastest_first", True),), sim=sim_het,
+            ExperimentSpec.for_workload(
+                _standalone(spec, bench), "static", seed,
+                {"fastest_first": True}, sim=sim_het,
             )
         )
     results = iter(camp.gather(tasks))

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.campaign.core import Campaign
-from repro.campaign.spec import SimParams
-from repro.spec import ExperimentSpec
 from repro.policies import REGISTRY
 from repro.metrics.fairness import fairness
 from repro.metrics.performance import speedup
 from repro.sim.results import RunResult
+from repro.spec import ExperimentSpec, SimParams
 from repro.util.rng import DEFAULT_SEED
 from repro.util.stats import geometric_mean
 from repro.util.tables import format_table

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.campaign.core import Campaign
-from repro.campaign.spec import SimParams
-from repro.spec import ExperimentSpec
 from repro.metrics.prediction import error_summary
+from repro.spec import ExperimentSpec, SimParams
 from repro.util.rng import DEFAULT_SEED
 from repro.util.tables import format_table
 from repro.workloads.suite import all_workloads

@@ -7,15 +7,14 @@ zero-argument *factories* because scheduler objects are stateful.
 
 This is the low-level, eager entry point; batch consumers (the figure
 modules, the benches) describe runs declaratively as
-`repro.campaign.TaskSpec`s instead and gather them through a
+`repro.spec.ExperimentSpec`s instead and gather them through a
 `repro.campaign.Campaign`, which adds deduplication, disk caching,
-parallel execution and retries on top of exactly this function
-(`repro.campaign.spec.execute_task` calls back into it).
+parallel execution and retries, and wires each engine exactly as this
+function does (`repro.campaign.worker.build_engine`).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Mapping
 
 from repro.obs.events import EventBus
@@ -33,27 +32,11 @@ from repro.workloads.suite import WorkloadSpec
 
 __all__ = [
     "PolicyFactory",
-    "STANDARD_POLICIES",
     "run_workload",
     "run_scenario",
     "run_policies",
     "run_standalone",
 ]
-
-
-def __getattr__(name: str):
-    # STANDARD_POLICIES is deprecated: the policy registry is the single
-    # source of truth, and the "standard" tag marks the paper's five.
-    if name == "STANDARD_POLICIES":
-        warnings.warn(
-            "STANDARD_POLICIES is deprecated; use "
-            "repro.policies.REGISTRY.standard_factories() (or iterate "
-            "REGISTRY.tagged('standard')) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return REGISTRY.standard_factories()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def run_workload(

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.campaign.core import Campaign
-from repro.campaign.spec import SimParams
-from repro.spec import ExperimentSpec
 from repro.core.config import QUANTA_CHOICES_S, SWAP_SIZE_CHOICES
 from repro.metrics.fairness import fairness
 from repro.metrics.performance import speedup
+from repro.spec import ExperimentSpec, SimParams
 from repro.util.rng import DEFAULT_SEED
 from repro.workloads.suite import WorkloadSpec
 

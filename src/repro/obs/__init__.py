@@ -13,8 +13,7 @@ quantum groups) and distills the differences into a structured
 
 Attachment is one call — :func:`repro.obs.attach` wires any combination
 of sinks onto an engine, a bare bus, or a campaign and returns a handle
-over everything attached (`repro.obs.attach`); the old per-sink wiring
-helpers live on as deprecated shims in `repro.obs.wiring`.
+over everything attached (`repro.obs.attach`).
 
 With no sinks attached the bus is a cheap no-op — emission sites guard on
 ``bus.enabled`` and never build event objects, so a plain ``repro run``

@@ -2,25 +2,24 @@
 
 One declarative, composable surface for "an experiment":
 
-    ExperimentSpec = ⟨ policy name+params, topology name+params,
-                       simulator overrides, workload/traffic ref ⟩
+    ExperimentSpec = ⟨ workload/traffic ref, policy name+params,
+                       topology name+params, simulator overrides ⟩
 
 Every run — CLI verbs, campaign grids, traffic campaigns, the tuner —
-describes work as an :class:`ExperimentSpec` (or something convertible
-to one).  The spec has exactly **one validation path**: policy
-parameters check against :data:`repro.policies.REGISTRY`'s declarative
-`ParamSpec` schemas, topology parameters against
-:data:`repro.topologies.TOPOLOGY_REGISTRY`, and simulator fields
-through :class:`repro.campaign.SimParams` — validate-never-coerce, so
-the values a caller supplies are the values that get hashed and run.
+describes work as an :class:`ExperimentSpec`, and the campaign layer
+plans, hashes, batches, executes and stores exactly that type.  The spec
+has **one validation path**: policy parameters check against
+:data:`repro.policies.REGISTRY`'s declarative `ParamSpec` schemas,
+topology parameters against :data:`repro.topologies.TOPOLOGY_REGISTRY`,
+and the LLC backend name against :data:`repro.sim.llc.LLC_MODELS` —
+validate-never-coerce, so the values a caller supplies are the values
+that get hashed and run.
 
-Serialization is **canonical and schema-versioned**
-(:meth:`ExperimentSpec.to_dict` / :meth:`ExperimentSpec.from_dict`),
-and the campaign cache key of a spec is *defined* as the cache key of
-its legacy :class:`~repro.campaign.TaskSpec` image
-(:meth:`ExperimentSpec.to_task`): every spec expressible before this
-layer existed keeps its byte-identical content address, so historical
-object stores stay warm.
+Two serializations: the schema-versioned wire form
+(:meth:`ExperimentSpec.to_dict` / :meth:`ExperimentSpec.from_dict`) for
+artifacts, and the cache-key fingerprint (:meth:`ExperimentSpec._fingerprint`),
+whose layout predates this type and is frozen so historical object
+stores stay warm (pinned by ``tests/golden/cache_keys.json``).
 
 `PolicyRef` / `TopologyRef` also own the CLI grammar
 (``name[:key=value,...]``) via :meth:`PolicyRef.from_arg` — the same
@@ -32,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping
 
-from repro.campaign.spec import SimParams, TaskSpec, WorkloadRef
 from repro.policies import REGISTRY, PolicySpec
+from repro.sim.llc import LLC_MODELS
 from repro.topologies import TOPOLOGY_REGISTRY, TopologySpec, parse_topology_arg
 from repro.util.rng import DEFAULT_SEED
 from repro.util.validation import require
@@ -41,6 +40,8 @@ from repro.workloads.suite import WorkloadSpec
 
 __all__ = [
     "SPEC_SCHEMA_VERSION",
+    "WorkloadRef",
+    "SimParams",
     "PolicyRef",
     "TopologyRef",
     "ExperimentSpec",
@@ -57,6 +58,165 @@ def _sorted_params(params: Mapping[str, Any] | Iterable[tuple[str, Any]] | None)
         return ()
     items = params.items() if isinstance(params, Mapping) else params
     return tuple(sorted(items))
+
+
+def _check_llc(llc: str | None) -> None:
+    if llc is not None:
+        require(
+            llc in LLC_MODELS,
+            f"unknown llc model {llc!r}; known: {sorted(LLC_MODELS)}",
+        )
+
+
+@dataclass(frozen=True)
+class WorkloadRef:
+    """A workload by value: the four `WorkloadSpec` fields, nothing more.
+
+    Suite workloads (``wl1`` .. ``wl16``) and ad-hoc specs (standalone
+    runs, test workloads) serialise identically — the reference carries
+    the full recipe, so a worker process can rebuild the spec without any
+    registry lookup.
+
+    Open-system workloads add ``arrivals`` (one arrival time per entry of
+    ``apps``, which then lists each *job's* application in order) and
+    optionally ``sizes`` (per-job work multipliers); both serialise only
+    when set, so closed workloads keep their historical cache keys.
+    """
+
+    name: str
+    apps: tuple[str, ...]
+    include_kmeans: bool = True
+    threads_per_app: int = 8
+    arrivals: tuple[float, ...] = ()
+    sizes: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.arrivals:
+            require(
+                len(self.arrivals) == len(self.apps),
+                "arrivals must align 1:1 with apps",
+            )
+            require(
+                not self.include_kmeans,
+                "open-system workloads carry no implicit kmeans instance",
+            )
+        if self.sizes:
+            require(
+                len(self.sizes) == len(self.apps),
+                "sizes must align 1:1 with apps",
+            )
+            require(bool(self.arrivals), "sizes require arrivals")
+
+    @classmethod
+    def from_spec(cls, spec: WorkloadSpec) -> "WorkloadRef":
+        return cls(
+            name=spec.name,
+            apps=tuple(spec.apps),
+            include_kmeans=spec.include_kmeans,
+            threads_per_app=spec.threads_per_app,
+        )
+
+    @classmethod
+    def from_traffic(cls, workload) -> "WorkloadRef":
+        """Reference an open-system `repro.traffic.TrafficWorkload`.
+
+        Jobs must share one thread count (the grid path generates uniform
+        jobs); per-job sizes are kept only when any differ from 1.0.
+        """
+        jobs = workload.jobs
+        threads = {j.n_threads for j in jobs}
+        require(
+            len(threads) == 1,
+            "campaign traffic workloads need a uniform per-job thread count",
+        )
+        sizes = tuple(j.size for j in jobs)
+        return cls(
+            name=workload.name,
+            apps=tuple(j.app for j in jobs),
+            include_kmeans=False,
+            threads_per_app=threads.pop(),
+            arrivals=tuple(j.arrival_s for j in jobs),
+            sizes=sizes if any(s != 1.0 for s in sizes) else (),
+        )
+
+    def to_spec(self):
+        if self.arrivals:
+            # Late import: repro.traffic loads the engine and the solo
+            # baseline cache, which closed-workload specs never need.
+            from repro.traffic.replay import TrafficWorkload
+            from repro.traffic.trace import Job
+
+            sizes = self.sizes or (1.0,) * len(self.apps)
+            return TrafficWorkload(
+                name=self.name,
+                jobs=tuple(
+                    Job(
+                        i,
+                        app,
+                        arrival,
+                        n_threads=self.threads_per_app,
+                        size=size,
+                    )
+                    for i, (app, arrival, size) in enumerate(
+                        zip(self.apps, self.arrivals, sizes)
+                    )
+                ),
+            )
+        return WorkloadSpec(
+            name=self.name,
+            apps=self.apps,
+            include_kmeans=self.include_kmeans,
+            threads_per_app=self.threads_per_app,
+        )
+
+    def to_dict(self) -> dict:
+        out = {
+            "name": self.name,
+            "apps": list(self.apps),
+            "include_kmeans": self.include_kmeans,
+            "threads_per_app": self.threads_per_app,
+        }
+        # Only present when set, preserving historical closed-system keys.
+        if self.arrivals:
+            out["arrivals"] = list(self.arrivals)
+        if self.sizes:
+            out["sizes"] = list(self.sizes)
+        return out
+
+
+@dataclass(frozen=True)
+class SimParams:
+    """The ``sim=`` argument bundle of :meth:`ExperimentSpec.for_workload`
+    and :meth:`ExperimentSpec.for_traffic`: every simulator setting one
+    grid shares, spread onto the spec's flat fields.
+
+    ``migration`` is the optional ``(swap_overhead_s, warmup_work,
+    warmup_miss_scale)`` triple of a non-default `MigrationModel`;
+    ``None`` means the engine default.  ``llc`` names the shared-LLC
+    backend (`repro.sim.llc`, e.g. ``"occupancy"``); ``None`` is the
+    default ``NullLLC``.  ``topology`` resolves through
+    `repro.topologies.TOPOLOGY_REGISTRY` and ``topology_params``
+    customises the named preset; both are validated here, so a bad grid
+    setting fails once, where the bundle is built.
+    """
+
+    work_scale: float = 1.0
+    topology: str = "heterogeneous"
+    counter_noise: float = 0.06
+    max_time_s: float = 36_000.0
+    record_timeseries: bool = False
+    migration: tuple[float, float, float] | None = None
+    llc: str | None = None
+    topology_params: tuple[tuple[str, object], ...] = ()
+
+    def __post_init__(self) -> None:
+        spec = TOPOLOGY_REGISTRY.get(self.topology)
+        spec.validate_params(dict(self.topology_params))
+        # Normalise parameter order so logically equal params hash equal.
+        object.__setattr__(
+            self, "topology_params", tuple(sorted(self.topology_params))
+        )
+        _check_llc(self.llc)
 
 
 @dataclass(frozen=True)
@@ -169,12 +329,19 @@ class TopologyRef:
 class ExperimentSpec:
     """One experiment, fully declaratively: who runs what, where, how.
 
-    Composes a :class:`~repro.campaign.WorkloadRef` (closed suite
-    workload or open-loop traffic trace by value), a :class:`PolicyRef`,
-    a :class:`TopologyRef` and the flat simulator overrides that
-    previously hid inside ``SimParams``.  Frozen, picklable, JSON-able;
-    the tuner mutates specs through :meth:`with_policy_params` /
+    Composes a :class:`WorkloadRef` (closed suite workload or open-loop
+    traffic trace by value), a :class:`PolicyRef`, a :class:`TopologyRef`
+    and the flat simulator overrides.  Frozen, picklable, JSON-able; the
+    campaign layer plans, hashes, batches and executes it directly, and
+    the tuner mutates it through :meth:`with_policy_params` /
     ``dataclasses.replace``.
+
+    ``invariants=True`` makes the worker attach a zero-file-I/O
+    :class:`~repro.obs.invariants.InvariantSink` carrying the policy's
+    contract and stamp its digest into ``RunResult.info["invariants"]``;
+    ``traffic=True`` (open-loop specs) makes it stamp the p50/p95/p99
+    job-slowdown summary into ``RunResult.info["traffic"]``.  Both enter
+    the cache key only when set.
     """
 
     workload: WorkloadRef
@@ -191,10 +358,9 @@ class ExperimentSpec:
     traffic: bool = False
 
     def __post_init__(self) -> None:
-        # One validation path: policy/topology refs validated themselves;
-        # the simulator fields validate by construction of the SimParams
-        # image (llc backend name, topology/params compatibility).
-        self.sim_params()
+        # The policy and topology refs validated themselves; the LLC
+        # backend name and the migration triple are all that remain.
+        _check_llc(self.llc)
         if self.migration is not None:
             require(
                 len(self.migration) == 3,
@@ -214,18 +380,11 @@ class ExperimentSpec:
         sim: SimParams | None = None,
         invariants: bool = False,
     ) -> "ExperimentSpec":
-        """The usual constructor: from a live closed-system `WorkloadSpec`.
-
-        Accepts the same shape as the legacy ``TaskSpec.for_workload``
-        (optional ``sim=SimParams(...)`` bundle) so migrated call sites
-        stay one-line changes.
-        """
-        ref = policy if isinstance(policy, PolicyRef) else PolicyRef.of(policy, policy_params)
-        if policy_params and isinstance(policy, PolicyRef):
-            ref = ref.with_params(**dict(policy_params))
+        """The usual constructor: from a live closed-system `WorkloadSpec`
+        plus an optional ``sim=SimParams(...)`` bundle."""
         return cls(
             workload=WorkloadRef.from_spec(spec),
-            policy=ref,
+            policy=cls._policy_ref(policy, policy_params),
             seed=seed,
             invariants=invariants,
             **cls._fields_from_sim(sim or SimParams()),
@@ -242,17 +401,22 @@ class ExperimentSpec:
         invariants: bool = False,
     ) -> "ExperimentSpec":
         """An open-loop spec from a live `repro.traffic.TrafficWorkload`."""
-        ref = policy if isinstance(policy, PolicyRef) else PolicyRef.of(policy, policy_params)
-        if policy_params and isinstance(policy, PolicyRef):
-            ref = ref.with_params(**dict(policy_params))
         return cls(
             workload=WorkloadRef.from_traffic(workload),
-            policy=ref,
+            policy=cls._policy_ref(policy, policy_params),
             seed=seed,
             invariants=invariants,
             traffic=True,
             **cls._fields_from_sim(sim or SimParams()),
         )
+
+    @staticmethod
+    def _policy_ref(
+        policy: str | PolicyRef, params: Mapping[str, Any] | None
+    ) -> PolicyRef:
+        if not isinstance(policy, PolicyRef):
+            return PolicyRef.of(policy, params)
+        return policy.with_params(**dict(params)) if params else policy
 
     @staticmethod
     def _fields_from_sim(sim: SimParams) -> dict:
@@ -265,51 +429,6 @@ class ExperimentSpec:
             "migration": sim.migration,
             "llc": sim.llc,
         }
-
-    # -- conversions ---------------------------------------------------
-
-    def sim_params(self) -> SimParams:
-        """The simulator-parameter bundle this spec's flat fields encode."""
-        return SimParams(
-            work_scale=self.work_scale,
-            topology=self.topology.name,
-            counter_noise=self.counter_noise,
-            max_time_s=self.max_time_s,
-            record_timeseries=self.record_timeseries,
-            migration=self.migration,
-            llc=self.llc,
-            topology_params=self.topology.params,
-        )
-
-    def to_task(self) -> TaskSpec:
-        """The legacy campaign `TaskSpec` image of this spec.
-
-        This is the **cache-key-defining** conversion: the campaign
-        layer hashes ``to_task().to_dict()``, so any spec expressible
-        before the `ExperimentSpec` migration keeps its byte-identical
-        content address.
-        """
-        return TaskSpec(
-            workload=self.workload,
-            policy=self.policy.name,
-            seed=self.seed,
-            policy_params=self.policy.params,
-            sim=self.sim_params(),
-            invariants=self.invariants,
-            traffic=self.traffic,
-        )
-
-    @classmethod
-    def from_task(cls, task: TaskSpec) -> "ExperimentSpec":
-        """Lift a legacy `TaskSpec` into the composable form."""
-        return cls(
-            workload=task.workload,
-            policy=PolicyRef(name=task.policy, params=task.policy_params),
-            seed=task.seed,
-            invariants=task.invariants,
-            traffic=task.traffic,
-            **cls._fields_from_sim(task.sim),
-        )
 
     # -- mutation helpers (the tuner's surface) ------------------------
 
@@ -328,11 +447,11 @@ class ExperimentSpec:
     def to_dict(self) -> dict:
         """Schema-versioned, round-trippable wire form.
 
-        Distinct from the cache-key fingerprint (which stays the legacy
-        ``TaskSpec`` canonical dict for address stability): this form is
-        for artifacts — tuned-spec JSON, plans, reports.
+        Distinct from the cache-key fingerprint (:meth:`_fingerprint`,
+        frozen for address stability): this form is for artifacts —
+        tuned-spec JSON, plans, reports.
         """
-        out: dict[str, Any] = {
+        return {
             "spec_version": SPEC_SCHEMA_VERSION,
             "workload": self.workload.to_dict(),
             "policy": self.policy.to_dict(),
@@ -347,7 +466,6 @@ class ExperimentSpec:
             "invariants": self.invariants,
             "traffic": self.traffic,
         }
-        return out
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "ExperimentSpec":
@@ -383,12 +501,55 @@ class ExperimentSpec:
 
     # -- identity ------------------------------------------------------
 
+    def _fingerprint(self) -> dict:
+        """The canonical dict the campaign cache key hashes.
+
+        Its layout predates this class and is frozen: fields that were
+        added later (``llc``, ``topology_params``, ``invariants``,
+        ``traffic``, open-loop ``arrivals``/``sizes``) appear only when
+        set, so every older spec keeps its byte-identical content
+        address.  `repro.campaign.cachekey` drops ``record_timeseries``
+        and adds the result-schema version before hashing.
+        """
+        sim = {
+            "work_scale": self.work_scale,
+            "topology": self.topology.name,
+            "counter_noise": self.counter_noise,
+            "max_time_s": self.max_time_s,
+            "record_timeseries": self.record_timeseries,
+            "migration": list(self.migration) if self.migration else None,
+        }
+        if self.llc is not None:
+            sim["llc"] = self.llc
+        if self.topology.params:
+            sim["topology_params"] = [[k, v] for k, v in self.topology.params]
+        out = {
+            "workload": self.workload.to_dict(),
+            "policy": self.policy.name,
+            "policy_params": [[k, v] for k, v in self.policy.params],
+            "seed": self.seed,
+            "sim": sim,
+        }
+        if self.invariants:
+            out["invariants"] = True
+        if self.traffic:
+            out["traffic"] = True
+        return out
+
     def cache_key(self) -> str:
-        """The campaign content address of this spec (see `to_task`)."""
+        """The campaign content address of this spec."""
         from repro.campaign.cachekey import cache_key
 
-        return cache_key(self.to_task())
+        return cache_key(self)
 
     def label(self) -> str:
-        """Short human-readable id (same form the campaign layer prints)."""
-        return self.to_task().label()
+        """Short human-readable id for telemetry lines and trace files."""
+        extra = ""
+        if self.policy.params:
+            extra = "{" + ",".join(f"{k}={v}" for k, v in self.policy.params) + "}"
+        return f"{self.workload.name}/{self.policy.name}{extra}@s{self.seed}"
+
+    def to_task(self) -> "ExperimentSpec":
+        # Kept for perfbench/plans.py only, which passes the result to
+        # ResultStore.put; the spec is its own campaign task.
+        return self

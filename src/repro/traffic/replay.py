@@ -8,8 +8,7 @@ process group per job with dense global thread ids and staggered
 either directly from a generator's :class:`JobTrace`
 (:func:`workload_from_trace`) or programmatically from jobs.
 
-Build semantics (shared with the legacy ``DynamicWorkload`` it replaces,
-bit-for-bit): group ids and thread ids are assigned densely in job
+Build semantics: group ids and thread ids are assigned densely in job
 order; per-thread traces derive from ``make_rng(seed, "benchmark", app,
 str(gid))`` exactly as closed workloads do; arrival times and job work
 both scale with ``work_scale`` so reduced-scale runs keep the same
@@ -24,9 +23,9 @@ from dataclasses import dataclass
 
 from repro.sim.process import ProcessGroup
 from repro.traffic.trace import Job, JobTrace
-from repro.util.validation import check_non_negative, require
+from repro.util.validation import require
 from repro.workloads.benchmark import BenchmarkSpec, instantiate
-from repro.workloads.rodinia import APP_REGISTRY, app
+from repro.workloads.rodinia import app
 
 __all__ = [
     "TrafficWorkload",
@@ -61,7 +60,7 @@ class TrafficWorkload:
 
     @property
     def entries(self) -> tuple[tuple[str, float], ...]:
-        """The ``(app, arrival_s)`` timetable (legacy-compatible view)."""
+        """The ``(app, arrival_s)`` timetable."""
         return tuple((j.app, j.arrival_s) for j in self.jobs)
 
     def build(self, seed: int, work_scale: float = 1.0) -> list[ProcessGroup]:
@@ -122,72 +121,4 @@ def phased_workload(
             Job(i, app_name, arrival, n_threads=threads_per_app)
             for i, (app_name, arrival) in enumerate(entries)
         ),
-    )
-
-
-# ---------------------------------------------------------------- legacy
-
-
-class _LegacyDynamicWorkload(TrafficWorkload):
-    """Deprecated constructor shim: ``(name, entries, threads_per_app)``.
-
-    Exposed as ``repro.workloads.dynamic.DynamicWorkload`` (with a
-    DeprecationWarning on import); instances *are* TrafficWorkloads, so
-    everything downstream — ``build``, the engine, the campaign layer —
-    sees one workload type.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        entries: tuple[tuple[str, float], ...],
-        threads_per_app: int = 8,
-    ) -> None:
-        require(len(entries) >= 1, "a dynamic workload needs entries")
-        for app_name, arrival in entries:
-            require(app_name in APP_REGISTRY, f"unknown application {app_name!r}")
-            check_non_negative(arrival, "arrival")
-        require(threads_per_app >= 1, "threads_per_app must be >= 1")
-        TrafficWorkload.__init__(
-            self,
-            name=name,
-            jobs=tuple(
-                Job(i, app_name, arrival, n_threads=threads_per_app)
-                for i, (app_name, arrival) in enumerate(entries)
-            ),
-        )
-
-    @property
-    def threads_per_app(self) -> int:
-        return self.jobs[0].n_threads
-
-
-def _legacy_poisson_arrivals(
-    n_instances: int = 8,
-    mean_interarrival_s: float = 15.0,
-    seed: int = 0,
-    name: str | None = None,
-    threads_per_app: int = 8,
-) -> TrafficWorkload:
-    """Deprecated shim for ``repro.workloads.dynamic.poisson_arrivals``.
-
-    Delegates to :class:`~repro.traffic.generators.PoissonProcess` with
-    the historical RNG label path ``("dynamic", "poisson")``, so the
-    sampled timetable is bit-identical to the pre-traffic implementation.
-    """
-    from repro.traffic.generators import PoissonProcess
-
-    require(n_instances >= 1, "n_instances must be >= 1")
-    process = PoissonProcess(mean_interarrival_s=mean_interarrival_s)
-    trace = process.generate(
-        n_jobs=n_instances,
-        seed=seed,
-        n_threads=threads_per_app,
-        name=name or f"poisson-{n_instances}-s{seed}",
-        rng_labels=("dynamic", "poisson"),
-    )
-    return _LegacyDynamicWorkload(
-        name=trace.name,
-        entries=tuple((j.app, j.arrival_s) for j in trace.jobs),
-        threads_per_app=threads_per_app,
     )

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.policies import REGISTRY
+from repro.spec import ExperimentSpec, SimParams
 from repro.topologies import TOPOLOGY_REGISTRY
 from repro.traffic.generators import GENERATORS, make_process
 from repro.traffic.replay import TrafficWorkload, workload_from_trace
@@ -167,8 +168,6 @@ def plan_traffic(
     # Late import: repro.campaign imports repro.traffic for replay
     # support, so the planner cannot be a module-level dependency here.
     from repro.campaign.planner import CampaignPlan, dedupe
-    from repro.campaign.spec import SimParams, TaskSpec
-    from repro.spec import ExperimentSpec
 
     sim = SimParams(
         work_scale=spec.work_scale,
@@ -176,7 +175,7 @@ def plan_traffic(
         topology=spec.topology,
         topology_params=spec.topology_params,
     )
-    requested: list[TaskSpec] = []
+    requested: list[ExperimentSpec] = []
     for load in spec.traffic:
         wl = load.workload()
         for seed in spec.seeds:
@@ -188,7 +187,7 @@ def plan_traffic(
                         seed,
                         sim=sim,
                         invariants=spec.invariants,
-                    ).to_task()
+                    )
                 )
     tasks, keys = dedupe(requested)
     return CampaignPlan(

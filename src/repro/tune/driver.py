@@ -226,6 +226,6 @@ class Tuner:
 
 
 def _workload_ref(name: str):
-    from repro.campaign.spec import WorkloadRef
+    from repro.spec import WorkloadRef
 
     return WorkloadRef.from_spec(workload(name))

@@ -128,6 +128,6 @@ def build_tuning_report(
 
 
 def _workload_ref(name: str):
-    from repro.campaign.spec import WorkloadRef
+    from repro.spec import WorkloadRef
 
     return WorkloadRef.from_spec(workload(name))

@@ -22,25 +22,9 @@ from repro.workloads.suite import (
     workloads_of_class,
 )
 
-#: Deprecated open-system names (now repro.traffic); resolved lazily so
-#: importing the package stays warning-free — the shim module warns on use.
-_DEPRECATED_DYNAMIC = ("DynamicWorkload", "phased_workload", "poisson_arrivals")
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_DYNAMIC:
-        from repro.workloads import dynamic
-
-        return getattr(dynamic, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "BenchmarkSpec",
     "instantiate",
-    "DynamicWorkload",
-    "phased_workload",
-    "poisson_arrivals",
     "random_workload",
     "workload_with_mix",
     "benchmark_from_csv",

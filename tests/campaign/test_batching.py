@@ -24,14 +24,14 @@ from repro.campaign.batching import (
 )
 from repro.campaign.cachekey import cache_key
 from repro.campaign.core import Campaign, CampaignError
-from repro.campaign.spec import SimParams, TaskSpec
+from repro.spec import ExperimentSpec, SimParams
 from repro.workloads.suite import workload
 
 SIM = SimParams(work_scale=0.05)
 
 
-def _task(policy: str = "cfs", seed: int = 0, wl: str = "wl1", **sim) -> TaskSpec:
-    return TaskSpec.for_workload(
+def _task(policy: str = "cfs", seed: int = 0, wl: str = "wl1", **sim) -> ExperimentSpec:
+    return ExperimentSpec.for_workload(
         workload(wl), policy, seed=seed, sim=SimParams(work_scale=0.05, **sim)
     )
 
@@ -86,7 +86,7 @@ class TestPlanning:
             replace(_task("cfs", 1), invariants=True),
         ]
         units = plan_batches(_keyed(tasks))
-        assert all(isinstance(u, TaskSpec) for _, u in units)
+        assert all(isinstance(u, ExperimentSpec) for _, u in units)
         assert len(units) == 3
 
     def test_llc_tasks_become_one_batch(self):
@@ -113,7 +113,7 @@ class TestExecution:
 
     def test_llc_batch_runs_batched_and_matches_scalar(self):
         from repro.campaign.batching import execute_unit
-        from repro.campaign.spec import execute_task
+        from repro.campaign.worker import execute_task
         from repro.experiments.serialization import run_result_to_full_json
 
         tasks = [_task("dike", s, llc="occupancy") for s in range(2)]
@@ -207,7 +207,7 @@ class TestBaselineCacheStamp:
 
         wl = TrafficSpec.at_rate(0.3, n_jobs=4, trace_seed=1).workload()
         tasks = [
-            TaskSpec.for_traffic(wl, "cfs", seed=s, sim=SIM) for s in range(2)
+            ExperimentSpec.for_traffic(wl, "cfs", seed=s, sim=SIM) for s in range(2)
         ]
         c = Campaign.at(tmp_path, max_workers=1, batch=True)
         results = c.gather(tasks)

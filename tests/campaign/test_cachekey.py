@@ -9,23 +9,23 @@ import pytest
 
 from repro.campaign import cachekey
 from repro.campaign.cachekey import cache_key, task_fingerprint
-from repro.campaign.spec import SimParams, TaskSpec, WorkloadRef
 from repro.policies import REGISTRY
-from repro.spec import ExperimentSpec
+from repro.spec import ExperimentSpec, PolicyRef, SimParams, TopologyRef, WorkloadRef
 from repro.topologies import TOPOLOGY_REGISTRY
 from repro.workloads.suite import workload
 
 
-def _task(**overrides) -> TaskSpec:
+def _task(**overrides) -> ExperimentSpec:
     base = dict(
         workload=WorkloadRef.from_spec(workload("wl2")),
-        policy="dike",
+        policy=PolicyRef(
+            "dike", (("swap_size", 4), ("quanta_length_s", 0.2))
+        ),
         seed=42,
-        policy_params=(("swap_size", 4), ("quanta_length_s", 0.2)),
-        sim=SimParams(work_scale=0.1),
+        work_scale=0.1,
     )
     base.update(overrides)
-    return TaskSpec(**base)
+    return ExperimentSpec(**base)
 
 
 class TestStability:
@@ -33,8 +33,8 @@ class TestStability:
         assert cache_key(_task()) == cache_key(_task())
 
     def test_key_is_independent_of_param_order(self):
-        a = _task(policy_params=(("swap_size", 4), ("quanta_length_s", 0.2)))
-        b = _task(policy_params=(("quanta_length_s", 0.2), ("swap_size", 4)))
+        a = _task(policy=PolicyRef.of("dike", {"swap_size": 4, "quanta_length_s": 0.2}))
+        b = _task(policy=PolicyRef.of("dike", {"quanta_length_s": 0.2, "swap_size": 4}))
         assert cache_key(a) == cache_key(b)
 
     def test_key_is_a_sha256_hexdigest(self):
@@ -59,13 +59,15 @@ class TestSensitivity:
     @pytest.mark.parametrize(
         "override",
         [
-            {"policy": "dike-af"},
+            {"policy": PolicyRef("dike-af")},
             {"seed": 43},
-            {"policy_params": (("swap_size", 8),)},
-            {"sim": SimParams(work_scale=0.2)},
-            {"sim": SimParams(work_scale=0.1, topology="homogeneous")},
-            {"sim": SimParams(work_scale=0.1, counter_noise=0.0)},
-            {"sim": SimParams(work_scale=0.1, migration=(0.01, 2.0, 3.0))},
+            {"policy": PolicyRef("dike", (("swap_size", 8),))},
+            {"work_scale": 0.2},
+            {"topology": TopologyRef("homogeneous")},
+            {"counter_noise": 0.0},
+            {"migration": (0.01, 2.0, 3.0)},
+            {"llc": "occupancy"},
+            {"invariants": True},
             {"workload": WorkloadRef.from_spec(workload("wl3"))},
         ],
     )
@@ -79,9 +81,18 @@ class TestSensitivity:
 
     def test_record_timeseries_is_excluded(self):
         """Tracing toggles recording, never dynamics — variants share a key."""
-        with_trace = _task(sim=SimParams(work_scale=0.1, record_timeseries=True))
-        without = _task(sim=SimParams(work_scale=0.1, record_timeseries=False))
+        with_trace = _task(record_timeseries=True)
+        without = _task(record_timeseries=False)
         assert cache_key(with_trace) == cache_key(without)
+
+    def test_for_workload_matches_the_field_constructor(self):
+        """The ``sim=`` bundle only spreads onto the flat fields."""
+        bundled = ExperimentSpec.for_workload(
+            workload("wl2"), "dike", seed=42,
+            policy_params={"quanta_length_s": 0.2, "swap_size": 4},
+            sim=SimParams(work_scale=0.1),
+        )
+        assert bundled == _task()
 
 
 GOLDEN_KEYS = Path(__file__).resolve().parents[1] / "golden" / "cache_keys.json"

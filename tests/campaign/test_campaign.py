@@ -13,15 +13,15 @@ import json
 
 import pytest
 
-from repro.campaign.cachekey import cache_key
+from repro.campaign.cachekey import cache_key, task_fingerprint
 from repro.campaign.core import Campaign, CampaignError
 from repro.campaign.executor import ExecutorConfig, TaskFailure
-from repro.campaign.spec import SimParams, TaskSpec, WorkloadRef
 from repro.campaign.store import ResultStore
 from repro.campaign.telemetry import Telemetry
 from repro.experiments.fig1 import run_fig1
 from repro.experiments.serialization import run_result_to_full_json
 from repro.experiments.sweep import sweep_configurations
+from repro.spec import ExperimentSpec, PolicyRef, SimParams, WorkloadRef
 from repro.workloads.suite import WorkloadSpec, workload
 
 TINY = WorkloadSpec(
@@ -36,9 +36,9 @@ BAD_WORKLOAD = WorkloadRef(
 )
 
 
-def _tasks() -> list[TaskSpec]:
+def _tasks() -> list[ExperimentSpec]:
     return [
-        TaskSpec.for_workload(TINY, policy, seed=7, sim=SIM)
+        ExperimentSpec.for_workload(TINY, policy, seed=7, sim=SIM)
         for policy in ("cfs", "dike", "dio")
     ]
 
@@ -59,7 +59,7 @@ class TestDeterminism:
             assert run_result_to_full_json(f) == run_result_to_full_json(r)
 
     def test_duplicate_tasks_share_one_run(self):
-        t = TaskSpec.for_workload(TINY, "cfs", seed=7, sim=SIM)
+        t = ExperimentSpec.for_workload(TINY, "cfs", seed=7, sim=SIM)
         res = Campaign.inline().gather([t, _tasks()[1], t])
         assert res[0] is res[2]
 
@@ -109,14 +109,14 @@ class TestFailurePolicy:
         # Policy params are validated at spec-construction time now, so an
         # execution-time failure needs a workload that only fails in the
         # worker (WorkloadRef is by-value and unvalidated until rebuilt).
-        bad = TaskSpec(workload=BAD_WORKLOAD, policy="dike", seed=7, sim=SIM)
+        bad = ExperimentSpec(BAD_WORKLOAD, PolicyRef("dike"), seed=7, work_scale=0.02)
         camp = Campaign(executor=ExecutorConfig(retries=0))
         with pytest.raises(CampaignError) as err:
             camp.gather([bad])
         assert err.value.failures[0].kind == "error"
 
     def test_lenient_gather_returns_failure_records_in_order(self):
-        bad = TaskSpec(workload=BAD_WORKLOAD, policy="dike", seed=7, sim=SIM)
+        bad = ExperimentSpec(BAD_WORKLOAD, PolicyRef("dike"), seed=7, work_scale=0.02)
         good = _tasks()[0]
         out = Campaign(executor=ExecutorConfig(retries=0)).gather(
             [good, bad], strict=False
@@ -152,7 +152,7 @@ class TestContinuousInvariants:
         results = camp.gather(_tasks())
         for task, result in zip(_tasks(), results):
             digest = result.info["invariants"]
-            assert digest["total"] == 0, f"{task.policy}: {digest}"
+            assert digest["total"] == 0, f"{task.policy.name}: {digest}"
             assert digest["checked"] > 0
         assert telemetry.invariant_tasks == 3
         assert telemetry.invariant_violations == 0
@@ -181,8 +181,8 @@ class TestContinuousInvariants:
 
         checked = replace(plain, invariants=True)
         assert cache_key(plain) != cache_key(checked)
-        # and the plain task's dict (hence key) is unchanged by the field
-        assert "invariants" not in plain.to_dict()
+        # and the plain spec's fingerprint (hence key) is unchanged by the field
+        assert "invariants" not in task_fingerprint(plain)
 
     def test_resume_replays_recorded_counts_instead_of_zero(self, tmp_path):
         events = tmp_path / "events.jsonl"
@@ -214,3 +214,20 @@ class TestContinuousInvariants:
         traces = sorted(p.name for p in (tmp_path / "traces").iterdir())
         assert len(traces) == 2
         assert all(name.endswith(".jsonl") for name in traces)
+
+    def test_specs_sharing_a_label_write_distinct_traces(self, tmp_path):
+        """The label omits topology, scale, LLC and arrivals; the file
+        name carries the cache key so such specs never overwrite."""
+        specs = [
+            ExperimentSpec.for_workload(
+                TINY, "cfs", seed=7,
+                sim=SimParams(work_scale=0.02, topology=topology),
+            )
+            for topology in ("heterogeneous", "homogeneous")
+        ]
+        assert specs[0].label() == specs[1].label()
+        Campaign(trace_dir=tmp_path / "traces").gather(specs)
+        traces = sorted(p.name for p in (tmp_path / "traces").iterdir())
+        assert traces == sorted(
+            f"tiny_cfs_s7-{spec.cache_key()[:12]}.jsonl" for spec in specs
+        )

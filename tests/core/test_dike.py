@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import AdaptationGoal, DikeConfig
-from repro.core.dike import DikeScheduler, dike, dike_af, dike_ap
+from repro.core.dike import DikeScheduler
 from repro.core.selector import ThreadPair
 from repro.schedulers.base import SchedulingContext, ThreadInfo
 from repro.sim.results import PredictionRecord
@@ -45,25 +45,18 @@ class TestConstruction:
 
 
 class TestDeprecatedFactories:
-    """The pre-registry factories keep working for one deprecation cycle."""
+    """The registry builds what the removed module-level factories did."""
 
     def test_names_and_goals(self):
-        with pytest.warns(DeprecationWarning):
-            assert dike().name == "dike"
-        with pytest.warns(DeprecationWarning):
-            af = dike_af()
-        with pytest.warns(DeprecationWarning):
-            ap = dike_ap()
+        assert REGISTRY.build("dike").name == "dike"
+        af = REGISTRY.build("dike-af")
+        ap = REGISTRY.build("dike-ap")
+        assert (af.name, ap.name) == ("dike-af", "dike-ap")
         assert af.config.goal is AdaptationGoal.FAIRNESS
         assert ap.config.goal is AdaptationGoal.PERFORMANCE
 
-    def test_dike_rejects_adaptive_config(self):
-        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-            dike(DikeConfig(goal=AdaptationGoal.FAIRNESS))
-
     def test_custom_config_carried(self):
-        with pytest.warns(DeprecationWarning):
-            sched = dike(DikeConfig(swap_size=4, quanta_length_s=0.2))
+        sched = REGISTRY.build("dike", {"swap_size": 4, "quanta_length_s": 0.2})
         assert sched.config.swap_size == 4
         assert sched.quantum_length_s() == 0.2
 

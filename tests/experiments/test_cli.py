@@ -51,6 +51,16 @@ class TestCommands:
         assert main(["run", "fig8", "--scale", "0.02"]) == 0
         assert "Figure 8" in capsys.readouterr().out
 
+    def test_traffic_report_names_each_cell_policy(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main([
+            "traffic", "--quick", "--jobs", "2", "--processes", "poisson",
+            "--rate", "0.25", "--policy", "cfs,dike", "--no-cache",
+            "--out", str(out),
+        ]) == 0
+        cells = json.loads(out.read_text())["cells"]
+        assert sorted(c["policy"] for c in cells) == ["cfs", "dike"]
+
     def test_timeline(self, capsys):
         assert main(["timeline", "wl1", "dike", "--scale", "0.01"]) == 0
         out = capsys.readouterr().out

@@ -99,22 +99,7 @@ class TestAblationSchedulers:
 
 
 class TestDeprecatedFactories:
-    def test_dike_factory_warns_and_builds(self):
-        from repro.core.dike import dike
-
-        with pytest.warns(DeprecationWarning, match="registry"):
-            sched = dike()
-        assert sched.name == "dike"
-
-    def test_goal_variants_warn_and_keep_names(self):
-        from repro.core.dike import dike_af, dike_ap
-
-        with pytest.warns(DeprecationWarning):
-            af = dike_af()
-        with pytest.warns(DeprecationWarning):
-            ap = dike_ap()
-        assert af.name == "dike-af"
-        assert ap.name == "dike-ap"
+    """The registry replaced the removed module-level factories."""
 
     def test_registry_builds_do_not_warn(self, recwarn):
         for name in ("dike", "dike-af", "dike-ap"):

@@ -139,6 +139,27 @@ class TestPublicApiQuality:
                     undocumented.append(name)
         assert undocumented == []
 
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro",
+            "repro.campaign",
+            "repro.core",
+            "repro.experiments",
+            "repro.workloads",
+            "repro.traffic",
+        ],
+    )
+    def test_every_exported_name_resolves_without_a_warning(self, module):
+        import importlib
+        import warnings
+
+        mod = importlib.import_module(module)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in mod.__all__:
+                getattr(mod, name)
+
     def test_all_modules_have_docstrings(self):
         import importlib
         import pkgutil

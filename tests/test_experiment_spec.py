@@ -9,22 +9,29 @@ topology rather than a hand-picked sample:
 * **Bounds** — the one validation path rejects out-of-schema values at
   construction: unknown parameter names always, out-of-range values for
   every `ParamSpec` that declares a bound.
-* **Cache-key byte identity** — for any spec expressible as a legacy
-  raw `TaskSpec`, the `ExperimentSpec` image hashes to the *same*
-  content address, so historical object stores stay warm.  A golden
-  hex digest pins the canonical form against silent drift.
+* **Cache-key byte identity** — every policy and topology preset keeps
+  the content address recorded in ``tests/golden/cache_keys.json`` (as
+  computed before `ExperimentSpec` became the only spec type), so
+  historical object stores stay warm.  A golden hex digest pins the
+  canonical form against silent drift.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.campaign.cachekey import cache_key
-from repro.campaign.spec import SimParams, TaskSpec, WorkloadRef
 from repro.policies import REGISTRY
-from repro.spec import SPEC_SCHEMA_VERSION, ExperimentSpec, PolicyRef, TopologyRef
+from repro.spec import (
+    SPEC_SCHEMA_VERSION,
+    ExperimentSpec,
+    PolicyRef,
+    SimParams,
+    TopologyRef,
+)
 from repro.topologies import TOPOLOGY_REGISTRY
 from repro.workloads.suite import workload
 
@@ -157,8 +164,11 @@ class TestExperimentSpecRoundTrip:
 
     @pytest.mark.parametrize("name", POLICIES)
     def test_task_image_round_trips(self, name):
+        """The spec is its own campaign task: ``to_task()`` (kept for the
+        benchmark harness's ``ResultStore.put`` calls) returns it."""
         exp = ExperimentSpec.for_workload(workload("wl2"), name, seed=9)
-        assert ExperimentSpec.from_task(exp.to_task()) == exp
+        assert exp.to_task() is exp
+        assert exp.to_task().label() == exp.label() == f"wl2/{name}@s9"
 
     def test_unknown_schema_version_rejected(self):
         doc = ExperimentSpec.for_workload(workload("wl1"), "dike").to_dict()
@@ -173,31 +183,33 @@ class TestExperimentSpecRoundTrip:
             )
 
 
+GOLDEN_KEYS = {
+    e["name"]: e["key"]
+    for e in json.loads(
+        (Path(__file__).parent / "golden" / "cache_keys.json").read_text()
+    )["entries"]
+}
+
+
 class TestCacheKeyByteIdentity:
-    """`ExperimentSpec` must address the same cache objects as the raw
-    `TaskSpec` constructor did before this layer existed."""
+    """`ExperimentSpec` must address the same cache objects as the spec
+    layer did before it became the only spec type (keys recorded in
+    ``tests/golden/cache_keys.json``)."""
 
     @pytest.mark.parametrize("name", POLICIES)
     def test_every_policy_keeps_its_legacy_key(self, name):
-        params = tuple(sorted(_default_params(REGISTRY.get(name)).items()))
-        legacy = TaskSpec(
-            workload=WorkloadRef.from_spec(workload("wl3")),
-            policy=name,
-            seed=11,
-            policy_params=params,
-            sim=SimParams(work_scale=0.1),
+        exp = ExperimentSpec.for_workload(
+            workload("wl3"), name, seed=11, sim=SimParams(work_scale=0.1)
         )
-        assert ExperimentSpec.from_task(legacy).cache_key() == cache_key(legacy)
+        assert exp.cache_key() == GOLDEN_KEYS[f"policy/{name}"]
 
     @pytest.mark.parametrize("name", TOPOLOGIES)
     def test_every_topology_keeps_its_legacy_key(self, name):
-        legacy = TaskSpec(
-            workload=WorkloadRef.from_spec(workload("wl3")),
-            policy="dike",
-            seed=11,
+        exp = ExperimentSpec.for_workload(
+            workload("wl3"), "dike", seed=11,
             sim=SimParams(work_scale=0.1, topology=name),
         )
-        assert ExperimentSpec.from_task(legacy).cache_key() == cache_key(legacy)
+        assert exp.cache_key() == GOLDEN_KEYS[f"topology/{name}"]
 
     def test_golden_key_pins_the_canonical_form(self):
         """Byte-for-byte pin of one known address.  Fails iff the hashed
@@ -208,15 +220,8 @@ class TestCacheKeyByteIdentity:
             policy_params={"swap_size": 4, "quanta_length_s": 0.2},
             sim=SimParams(work_scale=0.1),
         )
-        legacy = TaskSpec(
-            workload=WorkloadRef.from_spec(workload("wl2")),
-            policy="dike",
-            seed=42,
-            policy_params=(("quanta_length_s", 0.2), ("swap_size", 4)),
-            sim=SimParams(work_scale=0.1),
-        )
         golden = "00dd68e8c944462dc35b17db6368b99e0c5790f15336890695bb1a1a16f61a32"
-        assert exp.cache_key() == cache_key(legacy) == golden
+        assert exp.cache_key() == cache_key(exp) == golden
 
     def test_record_timeseries_still_excluded(self):
         with_trace = ExperimentSpec.for_workload(
@@ -227,18 +232,3 @@ class TestCacheKeyByteIdentity:
             workload("wl1"), "dike", sim=SimParams(work_scale=0.1)
         )
         assert with_trace.cache_key() == without.cache_key()
-
-
-class TestDeprecatedShims:
-    def test_for_workload_warns_and_matches(self):
-        exp = ExperimentSpec.for_workload(workload("wl1"), "dike", seed=3)
-        with pytest.warns(DeprecationWarning):
-            legacy = TaskSpec.for_workload(workload("wl1"), "dike", seed=3)
-        assert cache_key(legacy) == exp.cache_key()
-
-    def test_build_scheduler_warns_and_delegates(self):
-        from repro.campaign.spec import build_scheduler
-
-        with pytest.warns(DeprecationWarning):
-            sched = build_scheduler("dike", {"swap_size": 4})
-        assert sched is not None

@@ -147,31 +147,24 @@ class TestFacade:
             assert name in repro.__all__
 
 
-class TestDeprecationShims:
-    def test_topologies_mapping_warns(self):
-        import repro.campaign.spec as spec_mod
-
-        with pytest.warns(DeprecationWarning, match="TOPOLOGIES"):
-            table = spec_mod.TOPOLOGIES
-        assert "heterogeneous" in table
-
-    def test_build_topology_warns_and_builds(self):
-        from repro.campaign.spec import build_topology
-
-        with pytest.warns(DeprecationWarning):
-            topo = build_topology("heterogeneous")
-        assert topo.n_vcores == 40
-
-
 class TestSimParamsIntegration:
-    def test_topology_params_omitted_when_default(self):
-        from repro.campaign.spec import SimParams
+    @staticmethod
+    def _fingerprint_sim(sim) -> dict:
+        from repro.campaign.cachekey import task_fingerprint
+        from repro.spec import ExperimentSpec
+        from repro.workloads.suite import workload
 
-        out = SimParams(work_scale=0.05).to_dict()
+        spec = ExperimentSpec.for_workload(workload("wl1"), "dike", sim=sim)
+        return task_fingerprint(spec)["sim"]
+
+    def test_topology_params_omitted_when_default(self):
+        from repro.spec import SimParams
+
+        out = self._fingerprint_sim(SimParams(work_scale=0.05))
         assert "topology_params" not in out  # pre-existing cache keys survive
 
     def test_topology_params_sorted_and_serialized_when_set(self):
-        from repro.campaign.spec import SimParams
+        from repro.spec import SimParams
 
         sim = SimParams(
             work_scale=0.05,
@@ -179,12 +172,12 @@ class TestSimParamsIntegration:
             topology_params=(("smt", 1), ("cores_per_socket", 4)),
         )
         assert sim.topology_params == (("cores_per_socket", 4), ("smt", 1))
-        out = sim.to_dict()
+        out = self._fingerprint_sim(sim)
         assert out["topology"] == "scale128"
         assert out["topology_params"] == [["cores_per_socket", 4], ["smt", 1]]
 
     def test_bad_topology_params_rejected_at_construction(self):
-        from repro.campaign.spec import SimParams
+        from repro.spec import SimParams
 
         with pytest.raises(ValueError):
             SimParams(work_scale=0.05, topology="scale128",
