@@ -20,6 +20,7 @@ not the golden.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -27,6 +28,10 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
+from repro.experiments.serialization import (
+    run_result_from_dict,
+    run_result_to_full_dict,
+)
 from repro.policies import REGISTRY
 from repro.obs.diff import diff_traces, load_events
 from repro.obs.events import EventBus
@@ -150,3 +155,33 @@ else:
         # The user-facing gate: ``repro trace-diff`` exits 0.
         assert cli_main(["trace-diff", str(golden), str(trace)]) == 0
         capsys.readouterr()
+
+
+# The stored-result payload of each golden case, pinned by digest.  This
+# table is never regenerated (REPRO_REGEN_GOLDEN leaves it alone): the
+# payload is what the campaign result store writes, so a changed digest
+# means existing object stores would hold results in a form the current
+# code no longer writes.
+PAYLOADS = json.loads((GOLDEN_DIR / "payloads.json").read_text())
+
+
+def _payload(result: RunResult) -> str:
+    return json.dumps(
+        run_result_to_full_dict(result), sort_keys=True, allow_nan=False
+    )
+
+
+def test_payload_table_covers_every_case():
+    assert set(PAYLOADS) == set(CASES)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_payload_matches_checked_in_digest(case):
+    text = _payload(golden_run(case))
+    assert hashlib.sha256(text.encode()).hexdigest() == PAYLOADS[case]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_payload_survives_decode_encode(case):
+    text = _payload(golden_run(case))
+    assert _payload(run_result_from_dict(json.loads(text))) == text
