@@ -23,7 +23,7 @@ point the runner, CLI, campaign and benchmark layers share.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from repro.core.predictor import PairPrediction, Predictor
 from repro.core.selector import Selector
 from repro.schedulers.base import SchedulingContext
 from repro.schedulers.pipeline import Stage, StagePipeline, StageState
-from repro.sim.results import PredictionRecord
+from repro.sim.results import PredictionColumns
 
 __all__ = [
     "DikeScheduler",
@@ -57,9 +57,9 @@ __all__ = [
 #: Empty prediction books (see ``DikeScheduler._pending``).
 _NO_PENDING = (
     np.zeros(0, dtype=np.int64),
-    np.zeros(0, dtype=object),
-    np.zeros(0, dtype=object),
-    np.zeros(0, dtype=object),
+    np.zeros(0, dtype=np.int64),
+    np.zeros(0, dtype=np.float64),
+    np.zeros(0, dtype=np.float64),
 )
 
 
@@ -255,14 +255,11 @@ class DikeScheduler(StagePipeline):
             component.bus = context.bus
         #: registered next-quantum predictions as columns (tid,
         #: quantum_index_of_prediction, time_s, predicted_rate), one entry
-        #: per tid in registration order.  All but the tid column hold
-        #: Python objects: the registering quantum's own index and time,
-        #: and the rates straight from the Observer's report, which is
-        #: also where the next quantum's actual rates come from.  Records
-        #: thus share these objects instead of each carrying copies (a
-        #: large run keeps tens of thousands of records).
+        #: per tid in registration order.
         self._pending = _NO_PENDING
-        self._records: list[PredictionRecord] = []
+        #: retired predictions, one column chunk per quantum in
+        #: ``PredictionColumns`` order; joined once when drained.
+        self._record_chunks: list[tuple[np.ndarray, ...]] = []
         #: (quantum_index, swap_size, quanta_length_s) adaptation trajectory
         self._config_history: list[tuple[int, int, float]] = [
             (0, self.config.swap_size, self.config.quanta_length_s)
@@ -311,9 +308,9 @@ class DikeScheduler(StagePipeline):
             return
         n = len(fresh)
         tids = np.fromiter(fresh, np.int64, n)
-        quantum = np.full(n, counters.quantum_index, dtype=object)
-        time_s = np.full(n, counters.time_s, dtype=object)
-        predicted = np.array(list(fresh.values()), dtype=object)
+        quantum = np.full(n, counters.quantum_index, dtype=np.int64)
+        time_s = np.full(n, counters.time_s, dtype=np.float64)
+        predicted = np.fromiter(fresh.values(), np.float64, n)
         old_tid, old_q, old_t, old_rate = self._pending
         if old_tid.size:
             # Dict semantics: a tid still pending keeps its place and takes
@@ -343,35 +340,34 @@ class DikeScheduler(StagePipeline):
         """Match predictions from the previous quantum with measurements.
 
         Every pending prediction registered before this quantum is
-        retired; each whose thread reports a positive rate becomes a
-        :class:`PredictionRecord`, in registration order.
+        retired; those whose thread reports a positive rate become one
+        column chunk of records, in registration order.
         """
         tid, q, t, predicted = self._pending
         if not tid.size:
             return
         due = q < counters.quantum_index
-        actual = list(map(report.access_rate.get, tid.tolist(), repeat(0.0)))
-        hit = due & (np.array(actual) > 0.0)
-        columns = (
-            t[hit].tolist(),
-            q[hit].tolist(),
-            tid[hit].tolist(),
-            predicted[hit].tolist(),
-            list(compress(actual, hit.tolist())),
+        actual = np.fromiter(
+            map(report.access_rate.get, tid.tolist(), repeat(0.0)),
+            np.float64,
+            tid.size,
         )
-        self._records.extend(map(PredictionRecord, *columns))
+        hit = due & (actual > 0.0)
+        chunk = (t[hit], q[hit], tid[hit], predicted[hit], actual[hit])
+        if hit.any():
+            self._record_chunks.append(chunk)
         if self.metrics is not None:
             errors = self.metrics.histogram("dike.prediction_abs_rel_error")
-            for p, a in zip(columns[3], columns[4]):
-                errors.observe(abs(p - a) / a)
+            for e in (np.abs(chunk[3] - chunk[4]) / chunk[4]).tolist():
+                errors.observe(e)
         if due.all():
             self._pending = _NO_PENDING
         else:
             self._pending = tuple(column[~due] for column in self._pending)
 
-    def drain_prediction_records(self) -> tuple[PredictionRecord, ...]:
-        records = tuple(self._records)
-        self._records = []
+    def drain_prediction_records(self) -> PredictionColumns:
+        records = PredictionColumns.concatenate(self._record_chunks)
+        self._record_chunks = []
         return records
 
     def describe(self) -> dict[str, object]:

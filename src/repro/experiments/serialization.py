@@ -23,13 +23,20 @@ Two flavours exist:
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable
+import math
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.metrics.fairness import benchmark_cv, fairness
 from repro.metrics.prediction import error_summary
-from repro.sim.results import BenchmarkResult, PredictionRecord, RunResult
+from repro.sim.results import (
+    NO_PREDICTIONS,
+    PREDICTION_COLUMNS,
+    BenchmarkResult,
+    PredictionColumns,
+    RunResult,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -55,7 +62,7 @@ def _clean(value: Any) -> Any:
     """Make a scalar JSON-safe (NaN/inf become None)."""
     if isinstance(value, (np.floating, float)):
         v = float(value)
-        return v if np.isfinite(v) else None
+        return v if math.isfinite(v) else None
     if isinstance(value, (np.integer, int)):
         return int(value)
     return value
@@ -113,19 +120,43 @@ def run_result_to_json(result: RunResult, **kwargs: Any) -> str:
 def _enc(value: float) -> float | None:
     """Encode one float: non-finite becomes None (strict-JSON safe)."""
     v = float(value)
-    return v if np.isfinite(v) else None
+    return v if math.isfinite(v) else None
 
 
 def _dec(value: float | None) -> float:
     return float("nan") if value is None else float(value)
 
 
-def _enc_seq(values: Iterable[float]) -> list[float | None]:
-    return [_enc(v) for v in values]
+def _enc_seq(values: Sequence[float] | np.ndarray) -> list[float | None]:
+    """Encode floats with one ``tolist()``; non-finite entries become None."""
+    column = np.asarray(values, dtype=np.float64)
+    out = column.tolist()
+    for i in np.flatnonzero(~np.isfinite(column)).tolist():
+        out[i] = None
+    return out
 
 
-def _dec_seq(values: Iterable[float | None]) -> tuple[float, ...]:
-    return tuple(_dec(v) for v in values)
+def _dec_seq(values: list) -> np.ndarray:
+    """Inverse of :func:`_enc_seq`: None becomes NaN."""
+    return np.array(values, dtype=np.float64)
+
+
+def _enc_predictions(preds: PredictionColumns) -> dict[str, list]:
+    return {
+        name: _enc_seq(column) if dtype is np.float64 else column.tolist()
+        for (name, dtype), column in zip(
+            PREDICTION_COLUMNS.items(), preds.columns()
+        )
+    }
+
+
+def _dec_predictions(data: dict[str, list]) -> PredictionColumns:
+    if not data["tid"]:
+        return NO_PREDICTIONS
+    return PredictionColumns(*(
+        np.array(data[name], dtype=dtype)
+        for name, dtype in PREDICTION_COLUMNS.items()
+    ))
 
 
 def _freeze(value: Any) -> Any:
@@ -140,7 +171,6 @@ def _freeze(value: Any) -> Any:
 def run_result_to_full_dict(result: RunResult) -> dict:
     """Lossless dict of a run result (minus the trace, which is never
     serialised — rerun with ``record_timeseries=True`` if you need one)."""
-    preds = result.predictions
     return {
         "schema_version": SCHEMA_VERSION,
         "workload": result.workload_name,
@@ -154,20 +184,14 @@ def run_result_to_full_dict(result: RunResult) -> dict:
             {
                 "group_id": b.group_id,
                 "benchmark": b.benchmark,
-                "thread_finish_times": _enc_seq(b.thread_finish_times),
+                "thread_finish_times": [_enc(t) for t in b.thread_finish_times],
                 "n_migrations": b.n_migrations,
                 "arrival_s": _enc(b.arrival_s),
             }
             for b in result.benchmarks
         ],
         # Columnar layout: thousands of records, five scalars each.
-        "predictions": {
-            "time_s": _enc_seq(p.time_s for p in preds),
-            "quantum_index": [p.quantum_index for p in preds],
-            "tid": [p.tid for p in preds],
-            "predicted_rate": _enc_seq(p.predicted_rate for p in preds),
-            "actual_rate": _enc_seq(p.actual_rate for p in preds),
-        },
+        "predictions": _enc_predictions(result.predictions),
         "info": {
             k: (list(v) if isinstance(v, tuple) else v)
             for k, v in result.info.items()
@@ -186,25 +210,11 @@ def run_result_from_dict(data: dict) -> RunResult:
         raise ValueError(
             f"result schema version {version!r} != expected {SCHEMA_VERSION}"
         )
-    p = data["predictions"]
-    predictions = tuple(
-        PredictionRecord(
-            time_s=_dec(t),
-            quantum_index=int(q),
-            tid=int(tid),
-            predicted_rate=_dec(pr),
-            actual_rate=_dec(ar),
-        )
-        for t, q, tid, pr, ar in zip(
-            p["time_s"], p["quantum_index"], p["tid"],
-            p["predicted_rate"], p["actual_rate"],
-        )
-    )
     benchmarks = tuple(
         BenchmarkResult(
             group_id=int(b["group_id"]),
             benchmark=b["benchmark"],
-            thread_finish_times=_dec_seq(b["thread_finish_times"]),
+            thread_finish_times=tuple(_dec_seq(b["thread_finish_times"]).tolist()),
             n_migrations=int(b["n_migrations"]),
             arrival_s=_dec(b["arrival_s"]),
         )
@@ -219,7 +229,7 @@ def run_result_from_dict(data: dict) -> RunResult:
         benchmarks=benchmarks,
         swap_count=int(data["swap_count"]),
         migration_count=int(data["migration_count"]),
-        predictions=predictions,
+        predictions=_dec_predictions(data["predictions"]),
         trace=None,
         info={k: _freeze(v) for k, v in data["info"].items()},
     )
@@ -261,17 +271,14 @@ def sweep_result_from_dict(data: dict) -> "ConfigSweepResult":
             f"sweep schema version {version!r} != expected {SCHEMA_VERSION}"
         )
 
-    def grid(rows: list) -> np.ndarray:
-        return np.array([[_dec(v) for v in row] for row in rows], dtype=np.float64)
-
     return ConfigSweepResult(
         workload=data["workload"],
         workload_class=data["workload_class"],
         quanta_choices=tuple(float(q) for q in data["quanta_choices"]),
         swap_choices=tuple(int(s) for s in data["swap_choices"]),
-        fairness_grid=grid(data["fairness_grid"]),
-        speedup_grid=grid(data["speedup_grid"]),
-        swap_count_grid=grid(data["swap_count_grid"]),
+        fairness_grid=_dec_seq(data["fairness_grid"]),
+        speedup_grid=_dec_seq(data["speedup_grid"]),
+        swap_count_grid=_dec_seq(data["swap_count_grid"]),
     )
 
 

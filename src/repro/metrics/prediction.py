@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.results import PredictionRecord, RunResult
+from repro.sim.results import PredictionColumns, RunResult
 
 __all__ = [
     "prediction_errors",
@@ -36,21 +36,15 @@ def prediction_errors(result: RunResult, min_threads: int = 10) -> np.ndarray:
     a run, where one departing thread swings the aggregate arbitrarily —
     the paper observes the same post-completion fluctuation in Figure 8).
     """
-    diff: dict[int, float] = {}
-    actual: dict[int, float] = {}
-    count: dict[int, int] = {}
-    for r in result.predictions:
-        if r.actual_rate > 0.0 and np.isfinite(r.predicted_rate):
-            q = r.quantum_index
-            diff[q] = diff.get(q, 0.0) + (r.predicted_rate - r.actual_rate)
-            actual[q] = actual.get(q, 0.0) + r.actual_rate
-            count[q] = count.get(q, 0) + 1
-    quanta = [
-        q for q in sorted(diff) if actual[q] > 0.0 and count[q] >= min_threads
-    ]
-    if not quanta:
-        return np.zeros(0)
-    return np.array([diff[q] / actual[q] for q in quanta], dtype=np.float64)
+    _, quanta, diffs, actuals = _valid(result.predictions)
+    # Keyed sums in record order: np.bincount accumulates its weights in
+    # input order, as the row-by-row dict sums did.
+    keys, slot = np.unique(quanta, return_inverse=True)
+    diff = np.bincount(slot, weights=diffs, minlength=keys.size)
+    actual = np.bincount(slot, weights=actuals, minlength=keys.size)
+    count = np.bincount(slot, minlength=keys.size)
+    keep = (actual > 0.0) & (count >= min_threads)
+    return diff[keep] / actual[keep]
 
 
 def error_summary(result: RunResult, min_threads: int = 10) -> dict[str, float]:
@@ -75,24 +69,34 @@ def error_series(
     Returns ``(bucket_start_times, error)`` with NaN for empty buckets;
     the error definition matches :func:`prediction_errors`.
     """
-    records: tuple[PredictionRecord, ...] = result.predictions
-    if not records:
+    times, _, diffs, actuals = _valid(result.predictions)
+    if not times.size:
         return np.zeros(0), np.zeros(0)
-    valid = [
-        r for r in records if r.actual_rate > 0.0 and np.isfinite(r.predicted_rate)
-    ]
-    if not valid:
-        return np.zeros(0), np.zeros(0)
-    times = np.array([r.time_s for r in valid])
-    diffs = np.array([r.predicted_rate - r.actual_rate for r in valid])
-    actuals = np.array([r.actual_rate for r in valid])
     t_end = times.max() + bucket_s
     edges = np.arange(0.0, t_end + bucket_s, bucket_s)
     idx = np.clip(np.digitize(times, edges) - 1, 0, len(edges) - 2)
     out = np.full(len(edges) - 1, np.nan)
+    # NumPy's own (pairwise) sum per bucket, over the bucket's records in
+    # record order: the sums Figure 8 has always been drawn from.
     for b in np.unique(idx):
         sel = idx == b
         denom = actuals[sel].sum()
         if denom > 0:
             out[b] = diffs[sel].sum() / denom
     return edges[:-1], out
+
+
+def _valid(
+    preds: PredictionColumns,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(time_s, quantum_index, predicted - actual, actual)`` of the
+    records that can be scored: a positive actual rate and a finite
+    prediction."""
+    valid = (preds.actual_rate > 0.0) & np.isfinite(preds.predicted_rate)
+    actual = preds.actual_rate[valid]
+    return (
+        preds.time_s[valid],
+        preds.quantum_index[valid],
+        preds.predicted_rate[valid] - actual,
+        actual,
+    )

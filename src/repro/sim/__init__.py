@@ -33,7 +33,12 @@ from repro.sim.phases import (
     warmup_trace,
 )
 from repro.sim.process import ProcessGroup
-from repro.sim.results import BenchmarkResult, PredictionRecord, RunResult
+from repro.sim.results import (
+    BenchmarkResult,
+    PredictionColumns,
+    PredictionRecord,
+    RunResult,
+)
 from repro.sim.smt import smt_cycle_rates
 from repro.sim.thread import SimThread, ThreadState
 from repro.sim.topology import (
@@ -69,6 +74,7 @@ __all__ = [
     "warmup_trace",
     "ProcessGroup",
     "BenchmarkResult",
+    "PredictionColumns",
     "PredictionRecord",
     "RunResult",
     "smt_cycle_rates",

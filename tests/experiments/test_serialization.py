@@ -8,13 +8,17 @@ import math
 import pytest
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dike import DikeScheduler
 from repro.experiments.runner import run_workload
 from repro.experiments.serialization import (
     SCHEMA_VERSION,
+    run_result_from_dict,
     run_result_from_json,
     run_result_to_dict,
+    run_result_to_full_dict,
     run_result_to_full_json,
     run_result_to_json,
     sweep_result_from_json,
@@ -22,6 +26,13 @@ from repro.experiments.serialization import (
 )
 from repro.experiments.sweep import sweep_configurations
 from repro.schedulers.static import StaticScheduler
+from repro.sim.results import (
+    NO_PREDICTIONS,
+    BenchmarkResult,
+    PredictionColumns,
+    PredictionRecord,
+    RunResult,
+)
 from repro.workloads.suite import WorkloadSpec
 
 SMALL = WorkloadSpec(
@@ -156,3 +167,112 @@ class TestSweepRoundTrip:
         stale["schema_version"] = SCHEMA_VERSION + 1
         with pytest.raises(ValueError, match="schema version"):
             sweep_result_from_json(json.dumps(stale))
+
+
+# ---------------------------------------------------------------- columns
+#
+# The prediction block is encoded column by column.  The oracle below is
+# the row-wise encoder it replaced, kept here so the stored form can be
+# checked against it for any record set.
+
+
+def _oracle_enc(value: float) -> float | None:
+    v = float(value)
+    return v if np.isfinite(v) else None
+
+
+def _oracle_predictions_block(records) -> dict:
+    return {
+        "time_s": [_oracle_enc(p.time_s) for p in records],
+        "quantum_index": [p.quantum_index for p in records],
+        "tid": [p.tid for p in records],
+        "predicted_rate": [_oracle_enc(p.predicted_rate) for p in records],
+        "actual_rate": [_oracle_enc(p.actual_rate) for p in records],
+    }
+
+
+def _as_stored(records) -> list[PredictionRecord]:
+    """The records a decode gives back: every non-finite float is NaN."""
+    def f(v):
+        return v if math.isfinite(v) else float("nan")
+
+    return [
+        PredictionRecord(
+            f(r.time_s), r.quantum_index, r.tid,
+            f(r.predicted_rate), f(r.actual_rate),
+        )
+        for r in records
+    ]
+
+
+def _run(records) -> RunResult:
+    return RunResult(
+        workload_name="w",
+        policy_name="dike",
+        seed=3,
+        makespan_s=12.5,
+        n_quanta=40,
+        benchmarks=(BenchmarkResult(0, "a", (10.0, float("nan")), 1),),
+        swap_count=4,
+        migration_count=8,
+        predictions=records,
+    )
+
+
+_SPECIAL = st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324]
+)
+_float = _SPECIAL | st.floats(allow_nan=False, allow_infinity=False)
+_int64 = st.integers(-(2**63), 2**63 - 1)
+_record = st.builds(PredictionRecord, _float, _int64, _int64, _float, _float)
+
+
+def _random_records(n: int, seed: int) -> list[PredictionRecord]:
+    rng = np.random.default_rng(seed)
+    rates = rng.lognormal(14.0, 2.0, size=(2, n))
+    rates[:, rng.integers(0, n, size=n // 50)] = float("nan")
+    rates[0, rng.integers(0, n, size=n // 50)] = float("inf")
+    rates[1, rng.integers(0, n, size=n // 50)] = 0.0
+    return [
+        PredictionRecord(0.5 * (i // 64), i // 64, i % 64, p, a)
+        for i, (p, a) in enumerate(zip(rates[0].tolist(), rates[1].tolist()))
+    ]
+
+
+class TestPredictionColumnEncoding:
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(_record, max_size=40))
+    def test_matches_row_wise_encoder(self, records):
+        doc = run_result_to_full_dict(_run(records))
+        want = _oracle_predictions_block(records)
+        assert json.dumps(doc["predictions"]) == json.dumps(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=st.lists(_record, max_size=40))
+    def test_decode_encode_round_trip(self, records):
+        text = run_result_to_full_json(_run(records))
+        back = run_result_from_json(text)
+        assert back.predictions == _as_stored(records)
+        assert run_result_to_full_json(back) == text
+
+    @pytest.mark.parametrize("n", [1, 10_000])
+    def test_matches_row_wise_encoder_at_size(self, n):
+        records = _random_records(n, seed=n)
+        doc = run_result_to_full_dict(_run(records))
+        want = _oracle_predictions_block(records)
+        assert json.dumps(doc["predictions"], allow_nan=False) == json.dumps(want)
+        back = run_result_from_dict(json.loads(json.dumps(doc)))
+        assert back.predictions == _as_stored(records)
+
+    def test_empty_block_decodes_to_shared_instance(self):
+        doc = run_result_to_full_dict(_run(()))
+        assert doc["predictions"] == _oracle_predictions_block(())
+        assert run_result_from_dict(doc).predictions is NO_PREDICTIONS
+
+    def test_decoded_columns_have_column_dtypes(self, result):
+        back = run_result_from_json(run_result_to_full_json(result))
+        assert isinstance(back.predictions, PredictionColumns)
+        assert back.predictions.tid.dtype == np.int64
+        assert back.predictions.quantum_index.dtype == np.int64
+        assert back.predictions.time_s.dtype == np.float64
+        assert back.predictions.actual_rate.dtype == np.float64

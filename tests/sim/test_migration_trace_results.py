@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from repro.sim.migration import MigrationModel
-from repro.sim.results import BenchmarkResult, PredictionRecord, RunResult
+from repro.sim.results import (
+    NO_PREDICTIONS,
+    BenchmarkResult,
+    PredictionColumns,
+    PredictionRecord,
+    RunResult,
+)
 from repro.sim.trace import SwapEvent, TraceRecorder
 
 
@@ -131,3 +137,83 @@ class TestResults:
     def test_prediction_record_zero_actual_nan(self):
         rec = PredictionRecord(1.0, 2, 0, predicted_rate=1e6, actual_rate=0.0)
         assert math.isnan(rec.relative_error)
+
+
+def _records(n: int) -> list[PredictionRecord]:
+    return [
+        PredictionRecord(0.5 * (i // 3), i // 3, i % 3, 1e6 + i, 2e6 - i)
+        for i in range(n)
+    ]
+
+
+def _with(predictions) -> RunResult:
+    return RunResult(
+        workload_name="w",
+        policy_name="dike",
+        seed=0,
+        makespan_s=10.0,
+        n_quanta=20,
+        benchmarks=(BenchmarkResult(0, "a", (1.0, 2.0), 4),),
+        swap_count=2,
+        migration_count=4,
+        predictions=predictions,
+    )
+
+
+class TestPredictionColumns:
+    """``RunResult.predictions`` is a lazy record view over five columns."""
+
+    def test_record_sequences_are_converted_once(self):
+        rows = _records(30)
+        for given in (tuple(rows), rows, iter(rows)):
+            preds = _with(given).predictions
+            assert isinstance(preds, PredictionColumns)
+            assert preds == rows
+        columns = PredictionColumns.from_rows(rows)
+        assert _with(columns).predictions is columns
+
+    def test_default_and_empty_are_the_shared_empty_set(self):
+        assert _with(()).predictions is NO_PREDICTIONS
+        assert RunResult("w", "p", 0, 1.0, 1, (), 0, 0).predictions is NO_PREDICTIONS
+        assert NO_PREDICTIONS == ()
+        assert NO_PREDICTIONS == []
+        assert len(NO_PREDICTIONS) == 0 and list(NO_PREDICTIONS) == []
+        assert not NO_PREDICTIONS.tid.flags.writeable
+
+    def test_column_dtypes(self):
+        preds = _with(_records(5)).predictions
+        assert preds.quantum_index.dtype == np.int64
+        assert preds.tid.dtype == np.int64
+        for column in (preds.time_s, preds.predicted_rate, preds.actual_rate):
+            assert column.dtype == np.float64
+
+    def test_rows_index_slice_and_iterate(self):
+        rows = _records(50)
+        preds = _with(tuple(rows)).predictions
+        assert len(preds) == 50
+        assert preds[0] == rows[0] and preds[-1] == rows[-1]
+        assert repr(preds[7]) == repr(rows[7])
+        assert type(preds[np.int64(3)].tid) is int
+        head = preds[:20]
+        assert isinstance(head, PredictionColumns)
+        assert list(head) == rows[:20]
+        assert head == rows[:20] and head != rows[:19]
+        assert list(preds[::-7]) == rows[::-7]
+        assert [repr(r) for r in preds] == [repr(r) for r in rows]
+        with pytest.raises(IndexError):
+            preds[50]
+
+    def test_equality(self):
+        rows = _records(10)
+        preds = _with(rows).predictions
+        assert preds == PredictionColumns.from_rows(rows)
+        assert preds == tuple(rows)
+        assert preds != ()
+        assert preds != rows[:-1] + [PredictionRecord(9.9, 3, 0, 1e6, 2e6)]
+        assert preds != "not records"
+        nan = PredictionRecord(1.0, 1, 1, float("nan"), 1.0)
+        assert _with([nan]).predictions == [nan]
+
+    def test_run_results_compare_by_prediction_columns(self):
+        assert _with(_records(4)) == _with(tuple(_records(4)))
+        assert _with(_records(4)) != _with(_records(3))
